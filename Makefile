@@ -7,7 +7,7 @@
 GO ?= go
 EXAMPLES := quickstart virtecho nestedboot recursive memcached
 
-.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke profile
+.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke profile
 
 FUZZ_TARGETS := FuzzDifferentialNVvsNEVE FuzzFaultPlanRecovery FuzzParsePlan
 FUZZTIME ?= 10s
@@ -50,19 +50,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) ./internal/fault/ || exit 1; \
 	done
 
-ci: vet fmt-check race examples-smoke fuzz-smoke bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke fleet-smoke
-
-# Fleet orchestrator gate: a small sweep across 2 worker processes with
-# a crash injected mid-sweep (worker 0 dies holding its 2nd cell, is
-# respawned, the lost cell is retried) over a shared durable checkpoint
-# store. -check re-runs the sweep in-process and exits non-zero unless
-# the merged report is byte-identical — reconciliation to completion is
-# the pass condition, not just "no crash".
-fleet-smoke:
-	@tmp="$$(mktemp -d)"; \
-	$(GO) run ./cmd/nevesim fleet -workers 2 -configs vm,neve \
-		-store "$$tmp" -kill-worker 0 -kill-after 2 -check >/dev/null; \
-	rc=$$?; rm -rf "$$tmp"; exit $$rc
+ci: vet fmt-check race examples-smoke fuzz-smoke bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke
 
 # SMP engine gate: the epoch-lockstep tests under the race detector (the
 # parallel mode's happens-before edges are the whole design), plus the

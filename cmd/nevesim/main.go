@@ -25,16 +25,7 @@
 //	                   -faults <plan> injects seeded faults, -max-traps/
 //	                   -max-steps attach watchdog budgets (non-zero exit
 //	                   with a SimError diagnostic on livelock)
-//	nevesim fleet      run the full sweep as a reconciling fleet of worker
-//	                   processes (internal/fleet): -workers N, -store DIR
-//	                   shares a durable checkpoint store, -configs a,b
-//	                   restricts the sweep, -retries/-max-traps/-max-steps
-//	                   shape recovery, -kill-after N injects a worker crash,
-//	                   -check verifies the merged report byte-identical to a
-//	                   single-process run, -json emits the sweep as JSON
-//	nevesim serve      speak the fleet worker protocol on stdin/stdout
-//	                   (spawned by `nevesim fleet`; not for interactive use)
-//	nevesim all        everything above except bench, run, fleet and serve
+//	nevesim all        everything above except bench, smp and run
 //
 // Experiment cells run across a worker pool (every cell gets a private
 // simulated machine — warm-restored from a boot checkpoint by default —
@@ -45,19 +36,16 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/bench"
 	"github.com/nevesim/neve/internal/fault"
-	"github.com/nevesim/neve/internal/fleet"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/platform"
 	"github.com/nevesim/neve/internal/trace"
@@ -65,7 +53,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: nevesim [-parallel N] [table1|table6|table7|table8|fig2|events|trapcost|ablation|optvhe|recursive|bench|smp|run|fleet|serve|all]")
+	fmt.Fprintln(os.Stderr, "usage: nevesim [-parallel N] [table1|table6|table7|table8|fig2|events|trapcost|ablation|optvhe|recursive|bench|smp|run|all]")
 	os.Exit(2)
 }
 
@@ -111,13 +99,6 @@ func main() {
 		smpReport(h, flag.Args()[1:])
 	case "run":
 		runConfig(flag.Args()[1:])
-	case "fleet":
-		fleetSweep(h, flag.Args()[1:])
-	case "serve":
-		if err := fleet.Serve(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "nevesim serve:", err)
-			os.Exit(1)
-		}
 	case "all":
 		micro := h.RunAllMicro()
 		fmt.Print(bench.FormatTable1(micro))
@@ -262,97 +243,6 @@ func smpReport(h bench.Harness, args []string) {
 		fmt.Println("wrote", name)
 	}
 	if diverged {
-		os.Exit(1)
-	}
-}
-
-// fleetSweep runs the full sweep as a reconciling fleet: worker
-// processes (`nevesim serve` re-invocations of this binary) are fed
-// cells over stdin/stdout, crashes are recovered by respawn + capped
-// exponential backoff retries, and the merged result is byte-identical
-// to a single-process harness run — which -check verifies on the spot.
-// -kill-worker/-kill-after inject a deterministic worker crash
-// mid-sweep (the CI smoke test's chaos hook). Exits non-zero only if
-// the fleet cannot start, -check fails, or cells degraded (every retry
-// died with its worker).
-func fleetSweep(h bench.Harness, args []string) {
-	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
-	workers := fs.Int("workers", 2, "worker process count")
-	store := fs.String("store", "", "durable checkpoint store directory shared by all workers")
-	configsF := fs.String("configs", "", "comma-separated registry spec names (default: the full sweep)")
-	maxTraps := fs.Uint64("max-traps", 0, "per-cell trap budget (0 = unlimited)")
-	maxSteps := fs.Uint64("max-steps", 0, "per-cell guest-instruction budget (0 = unlimited)")
-	retries := fs.Int("retries", 0, "per-cell retry budget for cells lost to worker deaths (0 = default)")
-	killWorker := fs.Int("kill-worker", 0, "worker slot armed by -kill-after")
-	killAfter := fs.Int("kill-after", 0, "crash injection: the armed worker dies receiving its Nth cell (0 = off)")
-	check := fs.Bool("check", false, "re-run the sweep in-process and verify the merged report is byte-identical")
-	jsonOut := fs.Bool("json", false, "emit the sweep result as JSON instead of tables")
-	fs.Parse(args)
-
-	var configs []bench.ConfigID
-	if *configsF != "" {
-		for _, name := range strings.Split(*configsF, ",") {
-			c, ok := bench.ConfigByName(name)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "nevesim fleet: unknown config %q (have:", name)
-				for _, c := range bench.AllConfigs() {
-					fmt.Fprintf(os.Stderr, " %s", c.SpecName())
-				}
-				fmt.Fprintln(os.Stderr, ")")
-				os.Exit(2)
-			}
-			configs = append(configs, c)
-		}
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nevesim fleet:", err)
-		os.Exit(1)
-	}
-	opts := fleet.Options{
-		Workers:      *workers,
-		WorkerCmd:    []string{exe, "serve"},
-		WorkerStderr: os.Stderr,
-		Configs:      configs,
-		JITOff:       h.JITOff,
-		MaxTraps:     *maxTraps,
-		MaxSteps:     *maxSteps,
-		StoreDir:     *store,
-		MaxRetries:   *retries,
-		CrashWorker:  *killWorker,
-		CrashAfter:   *killAfter,
-		Log:          os.Stderr,
-	}
-	res, err := fleet.Run(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nevesim fleet:", err)
-		os.Exit(1)
-	}
-	if *jsonOut {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nevesim fleet:", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(b, '\n'))
-	} else {
-		fmt.Print(res.Tables())
-		fmt.Print(fleet.FormatStats(res.Stats))
-	}
-	failed := false
-	if res.Stats.Degraded > 0 {
-		fmt.Fprintf(os.Stderr, "nevesim fleet: %d cells degraded (see the report's degraded list)\n", res.Stats.Degraded)
-		failed = true
-	}
-	if *check {
-		if err := res.Check(opts.Reference()); err != nil {
-			fmt.Fprintln(os.Stderr, "nevesim fleet:", err)
-			failed = true
-		} else {
-			fmt.Fprintln(os.Stderr, "nevesim fleet: check ok — merged report byte-identical to single-process harness")
-		}
-	}
-	if failed {
 		os.Exit(1)
 	}
 }

@@ -84,17 +84,6 @@ func AllConfigs() []ConfigID {
 	return []ConfigID{ARMVM, ARMNested, ARMNestedVHE, NEVENested, NEVENestedVHE, X86VM, X86Nested}
 }
 
-// ConfigByName resolves a registry spec name ("vm", "neve", ...) back
-// to its ConfigID — the inverse of SpecName, for CLI sweep selection.
-func ConfigByName(name string) (ConfigID, bool) {
-	for _, c := range AllConfigs() {
-		if c.SpecName() == name {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // IsARM reports whether the configuration runs on the ARM stack.
 func (c ConfigID) IsARM() bool { return c <= NEVENestedVHE }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/nevesim/neve/internal/fault"
-	"github.com/nevesim/neve/internal/platform"
 	"github.com/nevesim/neve/internal/workload"
 )
 
@@ -13,8 +12,8 @@ import (
 // attached to a sweep result row: a cell that livelocked (trap storm,
 // step-budget overrun) or panicked reports WHAT died and WHERE instead of
 // hanging the sweep or zeroing silently. Every field is deterministic
-// for a deterministic failure, so fleet workers and the in-process
-// harness produce identical rows for the same faulting cell.
+// for a deterministic failure, so parallel and sequential sweeps produce
+// identical rows for the same faulting cell.
 type CellFault struct {
 	// Kind is the fault.ErrorKind string ("trap-storm", "step-budget",
 	// "panic"), or "error" for a non-SimError failure.
@@ -54,15 +53,12 @@ func faultFrom(err error) *CellFault {
 }
 
 // CellRunner runs individual sweep cells on demand, sharing one
-// warm-boot cache (and, through it, the harness's durable checkpoint
-// store) across calls. It is the unit the fleet worker wraps: the
-// orchestrator shards cells to workers, each worker runs them through a
-// CellRunner, and because a cell's result is independent of every other
-// cell, the merged sweep is byte-identical to an in-process Harness run
-// regardless of sharding or interleaving.
+// warm-boot cache across calls. A cell's result is independent of every
+// other cell, so any order or interleaving of calls yields the same rows
+// as a Harness sweep.
 //
-// A CellRunner is safe for concurrent use; the in-process harness fans
-// cells out over one runner.
+// A CellRunner is safe for concurrent use; the harness fans cells out
+// over one runner.
 type CellRunner struct {
 	h     Harness
 	cache *warmCache
@@ -88,10 +84,4 @@ func (r *CellRunner) App(cfg ConfigID, name string) (AppResult, error) {
 	}
 	ov, raw, js, cf := r.h.runAppWarm(r.cache, cfg, prof)
 	return AppResult{Workload: name, Config: cfg, Overhead: ov, Raw: raw, JIT: js, Fault: cf}, nil
-}
-
-// StoreStats returns the durable checkpoint store's counters (zero when
-// no store is attached).
-func (r *CellRunner) StoreStats() platform.StoreStats {
-	return r.h.Store.Stats()
 }

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"github.com/nevesim/neve/internal/platform"
 )
 
 // Harness scopes one experiment run: the worker parallelism and the
@@ -45,12 +43,6 @@ type Harness struct {
 	// consumption into the next.
 	MaxTraps uint64
 	MaxSteps uint64
-	// Store, when non-nil, backs the warm-boot cache with the durable
-	// checkpoint store: the first boot of each configuration consults the
-	// store before snapshotting, and saves its boot checkpoint for other
-	// processes (fleet workers, future runs). Corrupt entries are
-	// detected, counted, and fall back to a cold boot.
-	Store *platform.CheckpointStore
 }
 
 // Workers returns the effective worker count.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/nevesim/neve/internal/platform"
 	"github.com/nevesim/neve/internal/trace"
 )
 
@@ -63,9 +62,6 @@ type Report struct {
 	SMPAdaptive bool         `json:"smp_adaptive,omitempty"`
 	SMPCells    []SMPCell    `json:"smp_cells,omitempty"`
 	Suites      []SuiteStats `json:"suites"`
-	// Store holds the durable checkpoint store's counters when one was
-	// attached: hits and misses, plus detected-and-recovered corruption.
-	Store *platform.StoreStats `json:"store,omitempty"`
 	// TotalWallMS is the wall time of the whole report run.
 	TotalWallMS float64 `json:"total_wall_ms"`
 }
@@ -114,10 +110,6 @@ func (h Harness) RunBenchReport() Report {
 	as.Faulted = appFaults
 	r.Suites = append(r.Suites, as)
 
-	if h.Store != nil {
-		stats := h.Store.Stats()
-		r.Store = &stats
-	}
 	r.TotalWallMS = float64(time.Since(start).Microseconds()) / 1000
 	return r
 }

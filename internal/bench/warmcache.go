@@ -20,13 +20,6 @@ import (
 // are copy-on-write (no page copies until a page is dirtied) and
 // allocation-free, so a warm cell pays for its workload and nothing else.
 //
-// When a durable CheckpointStore is attached, the first boot of each
-// configuration consults it: a stored (content-verified) boot checkpoint
-// is decoded against the fresh build instead of snapshotting anew, and a
-// store miss saves the new snapshot for other processes. Either way the
-// platform state is byte-identical (TestCheckpointCodecEquivalence), so
-// the store changes durability, never results.
-//
 // Determinism is unchanged: a restored platform is byte-identical to a
 // freshly built one (the TestSnapshotRestoreEquivalence gate), so tables,
 // goldens, and parallel-vs-sequential comparisons are unaffected by cache
@@ -34,7 +27,6 @@ import (
 type warmCache struct {
 	mu    sync.Mutex
 	pools map[string][]*warmEntry
-	store *platform.CheckpointStore
 }
 
 // warmEntry is one pooled platform with its boot checkpoint.
@@ -49,13 +41,13 @@ func (h Harness) newCache() *warmCache {
 	if h.ColdBoot {
 		return nil
 	}
-	return &warmCache{pools: make(map[string][]*warmEntry), store: h.Store}
+	return &warmCache{pools: make(map[string][]*warmEntry)}
 }
 
 // acquire returns a platform in freshly-booted state for spec: a pooled
-// one restored to its boot checkpoint, or a new build (with a checkpoint
-// taken — or fetched from the durable store) when the pool is empty. The
-// caller has exclusive use until release.
+// one restored to its boot checkpoint, or a new build with a checkpoint
+// taken when the pool is empty. The caller has exclusive use until
+// release.
 func (c *warmCache) acquire(spec platform.Spec) *warmEntry {
 	if spec.Faults.Active() {
 		// Injector state is outside the snapshot (and the spec's Axes key
@@ -73,23 +65,6 @@ func (c *warmCache) acquire(spec platform.Spec) *warmEntry {
 	}
 	c.mu.Unlock()
 	p := platform.MustBuild(spec)
-	if c.store != nil {
-		if payload, ok := c.store.Load(spec); ok {
-			if cp, err := platform.DecodeCheckpoint(p, payload); err == nil {
-				// The fresh build is already at boot state; the decoded
-				// checkpoint serves every later restore of this entry.
-				return &warmEntry{p: p, cp: cp}
-			}
-			// A hash-valid entry that fails structural decode was written
-			// by an incompatible build; fall through to a cold snapshot
-			// (which overwrites it for the next reader).
-		}
-		cp := p.Snapshot()
-		if b, err := platform.EncodeCheckpoint(p, cp); err == nil {
-			c.store.Save(spec, b) // best-effort; a full disk costs warmth, not results
-		}
-		return &warmEntry{p: p, cp: cp}
-	}
 	return &warmEntry{p: p, cp: p.Snapshot()}
 }
 

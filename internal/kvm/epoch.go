@@ -336,9 +336,15 @@ func (s *Stack) parallelSafe(n int) bool {
 //     cache, a pure performance shortcut);
 //   - when the stack has a JIT, each running CPU switches from the
 //     whole-stack engine (whose walk and chain state span all cores) to
-//     its persistent per-vCPU shard engine — see jitshard.go.
+//     its persistent per-vCPU shard engine — see jitshard.go;
+//   - a nested stack's L1 VM Stage-2, otherwise built lazily by the
+//     first exit forwarded to the guest hypervisor, is built now, so no
+//     two segments race to allocate it.
 func (s *Stack) smpSetup(n int) func() {
 	m := s.M
+	if s.GuestHyp != nil {
+		s.Host.vmVTTBR(s.VM)
+	}
 	parent := m.Trace
 	shards := make([]*trace.Collector, n)
 	oldS2 := make([]arm.Stage2, n)
