@@ -90,10 +90,11 @@ jit-param-smoke:
 	$(GO) test -race ./internal/kvm -run 'TestSMPShardedJITMatchesInterpreted|TestSMPStormRoundsReplay'
 
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
-# memory/TLB fast paths, the trap hot path, the trace collector, and the
+# memory/TLB fast paths, the 16 MiB Stage-2 linear map build (with
+# allocation counts), the trap hot path, the trace collector, and the
 # end-to-end experiment cells.
 bench:
-	$(GO) test -run=NONE -bench 'BenchmarkMemoryReadWrite|BenchmarkTLB' ./internal/mem/ ./internal/mmu/
+	$(GO) test -run=NONE -bench 'BenchmarkMemoryReadWrite|BenchmarkTLB|BenchmarkStage2Map' -benchmem ./internal/mem/ ./internal/mmu/
 	$(GO) test -run=NONE -bench 'BenchmarkTrap|BenchmarkMSRFastPath' ./internal/arm/
 	$(GO) test -run=NONE -bench 'BenchmarkCollectorTrap' ./internal/trace/
 	$(GO) test -run=NONE -bench 'BenchmarkFig2|BenchmarkMicro' -benchtime 1x ./internal/bench/

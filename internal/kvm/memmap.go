@@ -52,6 +52,12 @@ func (b *guestBacking) MustWrite64(a mem.Addr, v uint64) {
 	b.h.M.Mem.MustWrite64(b.xlat(a), v)
 }
 
+// WriteWords translates a run once: it lies within one page, and this
+// hypervisor's RAM is linear in machine memory.
+func (b *guestBacking) WriteWords(a mem.Addr, vs []uint64) {
+	b.h.M.Mem.WriteWords(b.xlat(a), vs)
+}
+
 // backing returns the memory view this hypervisor builds page tables in.
 func (h *Hypervisor) backing() mmu.Backing {
 	if h.IsHost() {

@@ -54,6 +54,15 @@ func (b *stage1Backing) MustWrite64(a mem.Addr, v uint64) {
 	b.g.CPU.GuestWrite(a, 8, v)
 }
 
+// WriteWords stays one guest store per descriptor, in order: the guest
+// builds its Stage-1 tables with ordinary stores, each translated by
+// Stage-2 and charged its own cycles.
+func (b *stage1Backing) WriteWords(a mem.Addr, vs []uint64) {
+	for i, v := range vs {
+		b.g.CPU.GuestWrite(a+mem.Addr(8*i), 8, v)
+	}
+}
+
 // EnableStage1 turns on the guest's Stage-1 MMU: allocates an empty root
 // table in guest RAM and programs TTBR0_EL1 — a plain EL1 register write
 // that traps only for a deprivileged non-VHE hypervisor, never for a VM.

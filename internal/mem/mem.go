@@ -15,6 +15,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -248,12 +249,7 @@ func (m *Memory) Read64(a Addr) (uint64, error) {
 	if p == nil {
 		return 0, nil // unwritten memory reads as zero
 	}
-	off := a.PageOff()
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(p[off+uint64(i)]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(p[a.PageOff():]), nil
 }
 
 // Write64 writes a naturally aligned 64-bit little-endian value.
@@ -268,10 +264,7 @@ func (m *Memory) Write64(a Addr, v uint64) error {
 	if shared {
 		p = m.unshare(a.PageBase(), p)
 	}
-	off := a.PageOff()
-	for i := 0; i < 8; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(p[a.PageOff():], v)
 	return nil
 }
 
@@ -287,12 +280,7 @@ func (m *Memory) Read32(a Addr) (uint32, error) {
 	if p == nil {
 		return 0, nil
 	}
-	off := a.PageOff()
-	var v uint32
-	for i := 0; i < 4; i++ {
-		v |= uint32(p[off+uint64(i)]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint32(p[a.PageOff():]), nil
 }
 
 // Write32 writes a naturally aligned 32-bit little-endian value.
@@ -307,10 +295,7 @@ func (m *Memory) Write32(a Addr, v uint32) error {
 	if shared {
 		p = m.unshare(a.PageBase(), p)
 	}
-	off := a.PageOff()
-	for i := 0; i < 4; i++ {
-		p[off+uint64(i)] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint32(p[a.PageOff():], v)
 	return nil
 }
 
@@ -328,6 +313,33 @@ func (m *Memory) MustRead64(a Addr) uint64 {
 func (m *Memory) MustWrite64(a Addr, v uint64) {
 	if err := m.Write64(a, v); err != nil {
 		panic(err)
+	}
+}
+
+// WriteWords stores vs as consecutive 64-bit little-endian values starting
+// at a, leaving the same bytes as a MustWrite64 loop over the run. The run
+// must lie within one page and, like MustWrite64, a run outside installed
+// memory or straddling a page panics with *ErrBadAddress. A whole run
+// costs one Tap call, one check and one page lookup (with its
+// copy-on-write unshare), which is what makes table builders that write a
+// leaf table's descriptors in one call cheap. An empty run is a no-op.
+func (m *Memory) WriteWords(a Addr, vs []uint64) {
+	if len(vs) == 0 {
+		return
+	}
+	if m.Tap != nil {
+		m.Tap()
+	}
+	if err := m.check(a, 8*len(vs)); err != nil {
+		panic(err)
+	}
+	p, shared := m.pageShared(a, true)
+	if shared {
+		p = m.unshare(a.PageBase(), p)
+	}
+	b := p[a.PageOff():]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
 }
 

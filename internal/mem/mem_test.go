@@ -37,6 +37,13 @@ func TestWrite32ReadBack(t *testing.T) {
 	if got := m.MustRead64(0x2000); got != 0x12345678<<32 {
 		t.Fatalf("Read64 = %#x, want %#x", got, uint64(0x12345678)<<32)
 	}
+	// And a 64-bit write's low half is the 32-bit word at its address.
+	m.MustWrite64(0x2008, 0x1122334455667788)
+	lo, _ := m.Read32(0x2008)
+	hi, _ := m.Read32(0x200c)
+	if lo != 0x55667788 || hi != 0x11223344 {
+		t.Fatalf("Read32 halves = %#x %#x, want 0x55667788 0x11223344", lo, hi)
+	}
 }
 
 func TestLimitEnforced(t *testing.T) {

@@ -148,6 +148,9 @@ func (o *offsetMemory) MustWrite64(a mem.Addr, v uint64) {
 	o.m.MustWrite64(a+o.off, v)
 }
 func (o *offsetMemory) Read64(a mem.Addr) (uint64, error) { return o.m.Read64(a + o.off) }
+func (o *offsetMemory) WriteWords(a mem.Addr, vs []uint64) {
+	o.m.WriteWords(a+o.off, vs)
+}
 
 func TestTLBHitMissAndFlush(t *testing.T) {
 	tlb := NewTLB(4)

@@ -76,11 +76,18 @@ func indexAt(addr mem.Addr, level int) uint64 {
 // Backing is the memory a table tree is built in. *mem.Memory implements
 // it directly; a guest hypervisor building tables in its own (intermediate)
 // physical address space is modeled by a Backing that offsets addresses.
+//
+// WriteWords stores a run of descriptors that lies within one table page,
+// leaving the bytes a MustWrite64 loop over the run would leave. Map and
+// Unmap hand each leaf table's share of a range to it in one call, so a
+// backing can translate and check the run once (see DESIGN.md, "Table
+// runs").
 type Backing interface {
 	AllocPage() mem.Addr
 	Read64(mem.Addr) (uint64, error)
 	MustRead64(mem.Addr) uint64
 	MustWrite64(mem.Addr, uint64)
+	WriteWords(mem.Addr, []uint64)
 }
 
 // Tables is one translation table tree rooted in simulated memory. It is
@@ -91,7 +98,14 @@ type Tables struct {
 	Root mem.Addr
 	// pages counts table pages allocated, for diagnostics and tests.
 	pages int
+	// run is the descriptor buffer Map and Unmap fill for one leaf table
+	// at a time; it grows to at most one table page of entries and is
+	// reused, so remapping allocates nothing.
+	run []uint64
 }
+
+// entriesPerTable is the number of descriptors in one table page.
+const entriesPerTable = mem.PageSize / 8
 
 // NewTables allocates an empty 4-level table tree.
 func NewTables(m Backing) *Tables {
@@ -103,54 +117,77 @@ func (t *Tables) Pages() int { return t.pages }
 
 // Map establishes 4 KiB mappings for [ia, ia+size) -> [oa, oa+size) with
 // the given permissions, overwriting any existing mappings in the range.
+// The range is built one leaf table at a time: one walk (allocating
+// missing tables) per run of up to 512 pages, then one WriteWords of the
+// run's page descriptors. Table pages are allocated in ascending ia order,
+// the same sequence a page-at-a-time build allocates, so table addresses
+// and the next AllocPage do not depend on the run length.
 func (t *Tables) Map(ia, oa mem.Addr, size uint64, perm Perm) {
 	if ia.PageOff() != 0 || oa.PageOff() != 0 || size%mem.PageSize != 0 {
 		panic(fmt.Sprintf("mmu: unaligned mapping %#x -> %#x (+%#x)", uint64(ia), uint64(oa), size))
 	}
-	for off := uint64(0); off < size; off += mem.PageSize {
-		t.mapPage(ia+mem.Addr(off), oa+mem.Addr(off), perm)
-	}
-}
-
-func (t *Tables) mapPage(ia, oa mem.Addr, perm Perm) {
-	table := t.Root
-	for level := startLevel; level < lastLevel; level++ {
-		slot := table + mem.Addr(indexAt(ia, level)*8)
-		d := t.Mem.MustRead64(slot)
-		if d&descValid == 0 {
-			next := t.Mem.AllocPage()
-			t.pages++
-			t.Mem.MustWrite64(slot, uint64(next)&descAddrMask|descValid|descTable)
-			table = next
-			continue
+	attrs := descValid | descPage | uint64(perm)<<descPermShift
+	for pages := size / mem.PageSize; pages > 0; {
+		table, _ := t.leafTable(ia, true)
+		first := indexAt(ia, lastLevel)
+		run := t.runBuf(first, pages)
+		for i := range run {
+			run[i] = uint64(oa+mem.Addr(i)*mem.PageSize)&descAddrMask | attrs
 		}
-		table = mem.Addr(d & descAddrMask)
+		t.Mem.WriteWords(table+mem.Addr(first*8), run)
+		n := uint64(len(run))
+		ia += mem.Addr(n * mem.PageSize)
+		oa += mem.Addr(n * mem.PageSize)
+		pages -= n
 	}
-	slot := table + mem.Addr(indexAt(ia, lastLevel)*8)
-	t.Mem.MustWrite64(slot, uint64(oa)&descAddrMask|descValid|descPage|uint64(perm)<<descPermShift)
 }
 
 // Unmap removes the mappings for [ia, ia+size). Table pages are not
-// reclaimed (as in real hypervisors outside teardown).
+// reclaimed (as in real hypervisors outside teardown), and a leaf table
+// that was never built is skipped without allocating.
 func (t *Tables) Unmap(ia mem.Addr, size uint64) {
-	for off := uint64(0); off < size; off += mem.PageSize {
-		a := ia + mem.Addr(off)
-		table, ok := t.lastTable(a)
-		if !ok {
-			continue
+	ia = ia.PageBase()
+	for pages := (size + mem.PageSize - 1) / mem.PageSize; pages > 0; {
+		first := indexAt(ia, lastLevel)
+		run := t.runBuf(first, pages)
+		if table, ok := t.leafTable(ia, false); ok {
+			clear(run)
+			t.Mem.WriteWords(table+mem.Addr(first*8), run)
 		}
-		t.Mem.MustWrite64(table+mem.Addr(indexAt(a, lastLevel)*8), 0)
+		n := uint64(len(run))
+		ia += mem.Addr(n * mem.PageSize)
+		pages -= n
 	}
 }
 
-func (t *Tables) lastTable(ia mem.Addr) (mem.Addr, bool) {
-	table := t.Root
+// runBuf returns the descriptor buffer for the run starting at leaf index
+// first: the rest of that leaf table, or the pages left if fewer.
+func (t *Tables) runBuf(first, pages uint64) []uint64 {
+	n := min(entriesPerTable-first, pages)
+	if uint64(cap(t.run)) < n {
+		t.run = make([]uint64, n)
+	}
+	return t.run[:n]
+}
+
+// leafTable walks levels 0-2 for ia and returns the level-3 table that
+// covers it. With alloc set, missing tables are allocated and linked on
+// the way down; without it, ok is false at the first invalid descriptor.
+func (t *Tables) leafTable(ia mem.Addr, alloc bool) (table mem.Addr, ok bool) {
+	table = t.Root
 	for level := startLevel; level < lastLevel; level++ {
-		d := t.Mem.MustRead64(table + mem.Addr(indexAt(ia, level)*8))
-		if d&descValid == 0 {
+		slot := table + mem.Addr(indexAt(ia, level)*8)
+		d := t.Mem.MustRead64(slot)
+		if d&descValid != 0 {
+			table = mem.Addr(d & descAddrMask)
+			continue
+		}
+		if !alloc {
 			return 0, false
 		}
-		table = mem.Addr(d & descAddrMask)
+		table = t.Mem.AllocPage()
+		t.pages++
+		t.Mem.MustWrite64(slot, uint64(table)&descAddrMask|descValid|descTable)
 	}
 	return table, true
 }

@@ -80,6 +80,12 @@ func (b *guestRAMBacking) Read64(a mem.Addr) (uint64, error) { return b.machine.
 func (b *guestRAMBacking) MustRead64(a mem.Addr) uint64      { return b.machine.MustRead64(b.xlat(a)) }
 func (b *guestRAMBacking) MustWrite64(a mem.Addr, v uint64)  { b.machine.MustWrite64(b.xlat(a), v) }
 
+// WriteWords translates a run once: it lies within one page of the
+// guest's linear RAM window.
+func (b *guestRAMBacking) WriteWords(a mem.Addr, vs []uint64) {
+	b.machine.WriteWords(b.xlat(a), vs)
+}
+
 // initVMEPT builds the VM's EPT: the VM's RAM is the upper half of the
 // manager's own RAM, mapped linearly; device windows are absent so they
 // fault for emulation.
