@@ -67,18 +67,19 @@ smp-race:
 smp-bench-smoke:
 	$(GO) run -race ./cmd/nevesim smp -cpus 8 -profile storm
 
-# Trace-JIT correctness smoke: the figure 2 measured table (deterministic,
-# no wall times) must be byte-identical with super-ops replaying (-jit=on)
-# and every trap interpreted (-jit=off). Any diff is a replay-path bug.
+# Trace-JIT correctness smoke: every deterministic experiment nevesim
+# runs (tables 1/6/7, figure 2, ablation, recursive, table 8) must print
+# byte-identical output with super-ops replaying (-jit=on) and every trap
+# interpreted (-jit=off). Any diff is a replay-path bug.
 jit-equiv-smoke:
-	@$(GO) run ./cmd/nevesim -jit=on fig2 > .fig2-jit-on.tmp
-	@$(GO) run ./cmd/nevesim -jit=off fig2 > .fig2-jit-off.tmp
-	@if diff .fig2-jit-on.tmp .fig2-jit-off.tmp; then \
-		echo "fig2 byte-identical jit-on vs jit-off"; \
-		rm -f .fig2-jit-on.tmp .fig2-jit-off.tmp; \
+	@$(GO) run ./cmd/nevesim -jit=on all > .all-jit-on.tmp
+	@$(GO) run ./cmd/nevesim -jit=off all > .all-jit-off.tmp
+	@if diff .all-jit-on.tmp .all-jit-off.tmp; then \
+		echo "nevesim all byte-identical jit-on vs jit-off"; \
+		rm -f .all-jit-on.tmp .all-jit-off.tmp; \
 	else \
-		rm -f .fig2-jit-on.tmp .fig2-jit-off.tmp; \
-		echo "fig2 differs jit-on vs jit-off"; exit 1; \
+		rm -f .all-jit-on.tmp .all-jit-off.tmp; \
+		echo "nevesim all differs jit-on vs jit-off"; exit 1; \
 	fi
 
 # Parameterized-replay gate: one interrupt-storm cell under the race
@@ -91,17 +92,18 @@ jit-param-smoke:
 
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
 # memory/TLB fast paths, the 16 MiB Stage-2 linear map build (with
-# allocation counts), the trap hot path, the trace collector, and the
-# end-to-end experiment cells.
+# allocation counts), the trap hot path, a replayed nested hypercall (the
+# JIT hit path), the trace collector, and the end-to-end experiment cells.
 bench:
 	$(GO) test -run=NONE -bench 'BenchmarkMemoryReadWrite|BenchmarkTLB|BenchmarkStage2Map' -benchmem ./internal/mem/ ./internal/mmu/
 	$(GO) test -run=NONE -bench 'BenchmarkTrap|BenchmarkMSRFastPath' ./internal/arm/
+	$(GO) test -run=NONE -bench 'BenchmarkJITHit' -benchmem ./internal/kvm/
 	$(GO) test -run=NONE -bench 'BenchmarkCollectorTrap' ./internal/trace/
 	$(GO) test -run=NONE -bench 'BenchmarkFig2|BenchmarkMicro' -benchtime 1x ./internal/bench/
 
 # One-iteration pass over every benchmark: cheap CI proof that they run.
 bench-smoke:
-	$(GO) test -run=NONE -bench . -benchtime 1x ./internal/mem/ ./internal/mmu/ ./internal/arm/ ./internal/trace/ ./internal/bench/
+	$(GO) test -run=NONE -bench . -benchtime 1x ./internal/mem/ ./internal/mmu/ ./internal/arm/ ./internal/kvm/ ./internal/trace/ ./internal/bench/
 
 # Machine-readable perf trajectory: writes BENCH_<date>.json.
 bench-json:

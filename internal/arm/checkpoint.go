@@ -1,23 +1,20 @@
 package arm
 
-// CPUCheckpoint captures a core's mutable execution state: exception
-// level, virtualization levels, the full system register file, cycle
-// counters and their per-level attribution, the NEVE staging slot, and
-// pending-interrupt state. Fixed wiring (memory, cost model, devices,
+// CPUCheckpoint captures a core's mutable execution state: the core state
+// file (exception level, virtualization levels, the NEVE staging slot,
+// pending-interrupt state), the full system register file, and cycle
+// counters with their per-level attribution. Fixed wiring (memory, cost model, devices,
 // vector, hooks) and the transient exception pool (empty whenever the
 // core is quiescent at EL2) are not captured.
 type CPUCheckpoint struct {
-	el             EL
-	level          VLevel
-	guestLevel     VLevel
+	// st is the core state file with the VIRQ word cleared: the sink is
+	// kept as virq and re-indexed on restore.
+	st             [cpuWords]uint64
+	irqSpill       []int
 	regs           [NumSysRegs]uint64
 	cycles         uint64
 	levelCycles    [8]uint64
 	lastAttributed uint64
-	nv2Val         uint64
-	pendingIRQ     []int
-	irqMasked      bool
-	inVIRQ         bool
 	virq           VIRQSink
 }
 
@@ -29,37 +26,28 @@ func (c *CPU) Checkpoint() *CPUCheckpoint {
 		panic("arm: Checkpoint inside a trap handler")
 	}
 	cp := &CPUCheckpoint{
-		el:             c.el,
-		level:          c.level,
-		guestLevel:     c.guestLevel,
+		st:             c.st,
 		regs:           c.regs,
 		cycles:         c.cycles,
 		levelCycles:    c.levelCycles,
 		lastAttributed: c.lastAttributed,
-		nv2Val:         c.nv2Val,
-		irqMasked:      c.irqMasked,
-		inVIRQ:         c.inVIRQ,
-		virq:           c.VIRQ,
+		virq:           c.VIRQ(),
 	}
-	if len(c.pendingIRQ) > 0 {
-		cp.pendingIRQ = append([]int(nil), c.pendingIRQ...)
+	cp.st[stVIRQ] = 0
+	if len(c.irqSpill) > 0 {
+		cp.irqSpill = append([]int(nil), c.irqSpill...)
 	}
 	return cp
 }
 
 // Restore returns the core to a checkpointed state.
 func (c *CPU) Restore(cp *CPUCheckpoint) {
-	c.el = cp.el
-	c.level = cp.level
-	c.guestLevel = cp.guestLevel
+	c.st = cp.st
+	c.st[stVIRQ] = uint64(c.sinkIndex(cp.virq))
+	c.irqSpill = append(c.irqSpill[:0], cp.irqSpill...)
 	c.regs = cp.regs
 	c.cycles = cp.cycles
 	c.levelCycles = cp.levelCycles
 	c.lastAttributed = cp.lastAttributed
-	c.nv2Val = cp.nv2Val
-	c.pendingIRQ = append(c.pendingIRQ[:0], cp.pendingIRQ...)
-	c.irqMasked = cp.irqMasked
-	c.inVIRQ = cp.inVIRQ
-	c.VIRQ = cp.virq
 	c.excDepth = 0
 }

@@ -64,8 +64,6 @@ type CPU struct {
 	Bus PhysBus
 	// S2 is the stage-2 MMU context.
 	S2 Stage2
-	// VIRQ is the IRQ vector of the guest currently scheduled at vEL1.
-	VIRQ VIRQSink
 
 	// HookTrap, when non-nil, observes every trap after it is recorded
 	// and before the EL2 vector runs; the fault layer hangs its injector
@@ -78,11 +76,19 @@ type CPU struct {
 	// delivery; the step-budget watchdog hangs here.
 	HookTick func(c *CPU, n uint64)
 
-	el         EL
-	level      VLevel
-	guestLevel VLevel
-	regs       [NumSysRegs]uint64
-	cycles     uint64
+	// st is the core state file (see jit.go for the layout): the
+	// execution mode, the NEVE staging slot, the scheduled guest's VIRQ
+	// sink, and the pending physical interrupt queue. Every access goes
+	// through word/setWord or the queue helpers, which notify stTap.
+	st       [cpuWords]uint64
+	stTap    *jit.FileTap
+	irqSpill []int
+	// sinks is the install-time table of VIRQ sinks the stVIRQ word
+	// indexes (index i+1 is sinks[i]; 0 is no sink).
+	sinks []VIRQSink
+
+	regs   [NumSysRegs]uint64
+	cycles uint64
 
 	// levelCycles attributes elapsed cycles to the virtualization level
 	// that spent them (0 = host hypervisor); lastAttributed marks the
@@ -107,21 +113,10 @@ type CPU struct {
 	excPool  [maxTrapDepth]Exception
 	excDepth int
 
-	// nv2Val stages the value exchanged with the NV2 engine. Passing a
-	// stack variable's address through the interface call would force a
-	// heap allocation per deferred access; the engine performs the access
-	// synchronously and never re-enters MRS/MSR, so one slot suffices.
-	nv2Val uint64
-
-	pendingIRQ []int
-	irqMasked  bool
-	inVIRQ     bool
-
 	// jit, when non-nil, is the trace-JIT engine consulted on every trap;
 	// jitPoison is its pre-bound poison hook, and regsTap the engine's
-	// read/write notifier for regs, which is tracked by access set rather
-	// than walked (see SetJIT in jit.go). Every read or write of regs
-	// must notify the tap with the effective storage index.
+	// read/write notifier for regs (see SetJIT in jit.go). Every read or
+	// write of regs must notify the tap with the effective storage index.
 	jit       *jit.Engine
 	jitPoison func()
 	regsTap   *jit.FileTap
@@ -129,9 +124,9 @@ type CPU struct {
 
 	// jitPoisonShared, when non-nil, additionally poisons recordings that
 	// READ machine-shared state (distributor enable bits, another vCPU's
-	// pending queue). Only SMP shard mode sets it: a full-machine engine's
-	// walk covers that state, so poisoning there would cost replay wins
-	// for nothing. See (*CPU).JITPoisonShared.
+	// pending queue). Only SMP shard mode sets it: a full-machine engine
+	// tracks that state, so poisoning there would cost replay wins for
+	// nothing. See (*CPU).JITPoisonShared.
 	jitPoisonShared func()
 }
 
@@ -143,13 +138,14 @@ const maxTrapDepth = 16
 // NewCPU returns a core with the given features, attached to physical
 // memory m, using the default cost model, initially at EL2.
 func NewCPU(id int, m *mem.Memory, feat Features) *CPU {
-	return &CPU{
+	c := &CPU{
 		ID:   id,
 		Mem:  m,
 		Cost: DefaultCosts(),
 		Feat: feat,
-		el:   EL2,
 	}
+	c.st[stMode] = uint64(EL2)
+	return c
 }
 
 // AddDevice registers a system register device (timer, GIC CPU interface)
@@ -188,7 +184,7 @@ func (c *CPU) attribute(level VLevel) {
 // on this core (0 = host hypervisor, 1 = guest hypervisor or VM, ...): the
 // breakdown behind the exit multiplication problem.
 func (c *CPU) LevelCycles() []uint64 {
-	c.attribute(c.level)
+	c.attribute(c.level())
 	out := make([]uint64, len(c.levelCycles))
 	copy(out, c.levelCycles[:])
 	return out
@@ -237,23 +233,26 @@ func (c *CPU) MemOp(n uint64) { c.cycles += n * c.Cost.Mem }
 // EL returns the physical exception level, which only the model itself and
 // tests may observe. Modeled guest software must use CurrentEL, which is
 // subject to the ARMv8.3 disguise.
-func (c *CPU) EL() EL { return c.el }
+func (c *CPU) EL() EL { return c.el() }
 
 // Level returns the virtualization level of the currently running software
 // (0 = host hypervisor), for tracing and tests.
-func (c *CPU) Level() VLevel { return c.level }
+func (c *CPU) Level() VLevel { return c.level() }
 
 // SetGuestLevel records the virtualization level of the guest context the
 // host hypervisor has prepared to run; the trap-return path restores it.
 func (c *CPU) SetGuestLevel(l VLevel) {
-	c.guestLevel = l
-	if c.el != EL2 {
-		c.level = l
+	m := c.word(stMode)&^modeGuestMask | uint64(l)<<modeGuestShift
+	if EL(m&modeELMask) != EL2 {
+		m = m&^modeLevelMask | uint64(l)<<modeLevelShift
 	}
+	c.setWord(stMode, m)
 }
 
 // GuestLevel returns the scheduled guest context's level.
-func (c *CPU) GuestLevel() VLevel { return c.guestLevel }
+func (c *CPU) GuestLevel() VLevel {
+	return VLevel(c.word(stMode) & modeGuestMask >> modeGuestShift)
+}
 
 // Reg reads register storage directly, bypassing traps, devices and cycle
 // accounting. For model plumbing (hypervisor-internal state, devices,
@@ -293,10 +292,11 @@ func (c *CPU) hcrRead() uint64 {
 func (c *CPU) CurrentEL() EL {
 	c.cycles += c.Cost.SysReg
 	c.regsTap.Read(int(HCR_EL2))
-	if c.el == EL1 && c.regs[HCR_EL2]&HCRNV != 0 && c.Feat.NV {
+	el := c.el()
+	if el == EL1 && c.regs[HCR_EL2]&HCRNV != 0 && c.Feat.NV {
 		return EL2
 	}
-	return c.el
+	return el
 }
 
 // MRS models a system register read by the running software.
@@ -326,10 +326,11 @@ func (c *CPU) MSR(r SysReg, v uint64) {
 //	                       hypervisor (NV1 model bit): trap / NEVE memory
 //	physical EL1, EL0 reg  always native
 func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
+	el := c.el()
 	if info.VHEOnly && !c.Feat.VHE {
-		panic(&UndefError{Reg: r, EL: c.el})
+		panic(&UndefError{Reg: r, EL: el})
 	}
-	if c.el == EL2 {
+	if el == EL2 {
 		// effEL2 folds alias resolution and VHE E2H redirection of EL1
 		// access instructions (Section 2) into one precomputed load.
 		b := 0
@@ -352,8 +353,8 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		}
 		return c.raw(eff, write, wval)
 	}
-	if c.el != EL1 {
-		panic(fmt.Sprintf("arm: sysreg access to %s at %s not modeled", r, c.el))
+	if el != EL1 {
+		panic(fmt.Sprintf("arm: sysreg access to %s at %s not modeled", r, el))
 	}
 
 	c.regsTap.Read(int(HCR_EL2))
@@ -376,13 +377,11 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		if !nv {
 			// ARMv8.0: the hypervisor instruction is undefined at EL1 and
 			// the unmodified guest hypervisor crashes (Section 2).
-			panic(&UndefError{Reg: r, EL: c.el})
+			panic(&UndefError{Reg: r, EL: el})
 		}
 		if hcr&HCRNV2 != 0 && c.Feat.NV2 && c.NV2 != nil {
-			c.nv2Val = wval
-			switch c.NV2.Access(c, r, write, &c.nv2Val) {
-			case NV2Memory, NV2Redirected:
-				return c.nv2Val
+			if v, ok := c.nv2Access(r, write, wval); ok {
+				return v
 			}
 		}
 		return c.trapSysReg(r, write, wval)
@@ -391,10 +390,8 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 		// its VM's virtual EL1 state and must not clobber the hardware EL1
 		// registers that hold the guest hypervisor's own state (Section 4).
 		if hcr&HCRNV2 != 0 && c.Feat.NV2 && c.NV2 != nil {
-			c.nv2Val = wval
-			switch c.NV2.Access(c, r, write, &c.nv2Val) {
-			case NV2Memory, NV2Redirected:
-				return c.nv2Val
+			if v, ok := c.nv2Access(r, write, wval); ok {
+				return v
 			}
 		}
 		return c.trapSysReg(r, write, wval)
@@ -415,9 +412,26 @@ func (c *CPU) access(r SysReg, info *RegInfo, write bool, wval uint64) uint64 {
 	}
 }
 
+// nv2Access hands an access to the NEVE engine through the stNV2 staging
+// word. Passing a stack variable's address through the interface call
+// would force a heap allocation per deferred access; the engine performs
+// the access synchronously and never re-enters MRS/MSR, so one slot
+// suffices. The engine's own loads and stores of the slot are not tapped:
+// the write below is the sequence's first touch of it, so they only ever
+// see recorder-written values, and the final value is harvested at
+// promotion.
+func (c *CPU) nv2Access(r SysReg, write bool, wval uint64) (uint64, bool) {
+	c.setWord(stNV2, wval)
+	switch c.NV2.Access(c, r, write, &c.st[stNV2]) {
+	case NV2Memory, NV2Redirected:
+		return c.word(stNV2), true
+	}
+	return 0, false
+}
+
 // raw performs a non-trapping access: device hook first, then storage.
 func (c *CPU) raw(r SysReg, write bool, wval uint64) uint64 {
-	if !write && c.el == EL1 {
+	if !write && c.el() == EL1 {
 		// ID register virtualization: reads at EL1 return the values the
 		// hypervisor programmed into VMPIDR_EL2/VPIDR_EL2.
 		switch r {
@@ -454,7 +468,7 @@ func (c *CPU) trapSysReg(r SysReg, write bool, wval uint64) uint64 {
 // HVC models the hvc instruction: a hypercall into EL2 carrying a 16-bit
 // immediate, the vehicle of the paper's paravirtualization (Section 4).
 func (c *CPU) HVC(imm uint16) uint64 {
-	if c.el == EL2 {
+	if c.el() == EL2 {
 		panic("arm: HVC at EL2 not modeled")
 	}
 	return c.trapE(Exception{EC: ECHVC64, Imm: imm})
@@ -462,7 +476,7 @@ func (c *CPU) HVC(imm uint16) uint64 {
 
 // SMC models the smc instruction trapped by HCR_EL2.TSC.
 func (c *CPU) SMC(imm uint16) uint64 {
-	if c.el == EL2 {
+	if c.el() == EL2 {
 		panic("arm: SMC at EL2 not modeled")
 	}
 	return c.trapE(Exception{EC: ECSMC64, Imm: imm})
@@ -473,19 +487,19 @@ func (c *CPU) SMC(imm uint16) uint64 {
 // load the nested VM's state before entry (Section 4); without NV it is the
 // unmodified-hypervisor crash case.
 func (c *CPU) ERET() {
-	if c.el != EL1 {
+	if c.el() != EL1 {
 		panic("arm: guest ERET only modeled at EL1; the host enters guests with RunGuest")
 	}
 	c.regsTap.Read(int(HCR_EL2))
 	if c.regs[HCR_EL2]&HCRNV == 0 || !c.Feat.NV {
-		panic(&UndefError{EL: c.el, What: "ERET by deprivileged hypervisor without FEAT_NV"})
+		panic(&UndefError{EL: EL1, What: "ERET by deprivileged hypervisor without FEAT_NV"})
 	}
 	c.trapE(Exception{EC: ECERet})
 }
 
 // WFI models the wfi instruction, trapped to EL2 by hypervisors.
 func (c *CPU) WFI() {
-	if c.el == EL2 {
+	if c.el() == EL2 {
 		panic("arm: WFI at EL2 not modeled")
 	}
 	c.trapE(Exception{EC: ECWFx})
@@ -506,16 +520,15 @@ func (c *CPU) Tick(n uint64) {
 // AssertIRQ marks a physical interrupt pending on this core (called by the
 // GIC distributor model).
 func (c *CPU) AssertIRQ(intid int) {
-	c.pendingIRQ = append(c.pendingIRQ, intid)
+	irqQueue.Push(c.st[:], c.stTap, &c.irqSpill, intid)
 }
 
 // HasPendingIRQ reports whether a physical interrupt is pending.
-func (c *CPU) HasPendingIRQ() bool { return len(c.pendingIRQ) > 0 }
+func (c *CPU) HasPendingIRQ() bool { return irqQueue.Count(c.st[:], c.stTap) > 0 }
 
 func (c *CPU) checkIRQ() {
-	for len(c.pendingIRQ) > 0 && c.el != EL2 && c.hcrRead()&HCRIMO != 0 {
-		intid := c.pendingIRQ[0]
-		c.pendingIRQ = c.pendingIRQ[1:]
+	for c.HasPendingIRQ() && c.el() != EL2 && c.hcrRead()&HCRIMO != 0 {
+		intid := irqQueue.Pop(c.st[:], c.stTap, &c.irqSpill)
 		c.trapE(Exception{EC: ECVirtIRQ, IRQ: intid})
 	}
 }
@@ -523,12 +536,10 @@ func (c *CPU) checkIRQ() {
 // TakeIRQ pops one pending physical interrupt; used by the host hypervisor
 // when it handles interrupts natively (while no guest is running).
 func (c *CPU) TakeIRQ() (int, bool) {
-	if len(c.pendingIRQ) == 0 {
+	if !c.HasPendingIRQ() {
 		return 0, false
 	}
-	intid := c.pendingIRQ[0]
-	c.pendingIRQ = c.pendingIRQ[1:]
-	return intid, true
+	return irqQueue.Pop(c.st[:], c.stTap, &c.irqSpill), true
 }
 
 // trapE takes a synchronous exception by value and stages it in the
@@ -553,12 +564,13 @@ func (c *CPU) trapE(ev Exception) uint64 {
 // For read-style traps the handler's return value is the instruction's
 // result.
 func (c *CPU) trap(e *Exception) uint64 {
-	prevLevel := c.level
+	mode := c.word(stMode)
+	prevLevel := VLevel(mode & modeLevelMask >> modeLevelShift)
 	c.cycles += c.Cost.TrapEnter
 	c.attribute(prevLevel)
 	if c.Trace != nil {
 		ev := traceEvent(e)
-		ev.FromLevel = int(c.level)
+		ev.FromLevel = int(prevLevel)
 		ev.Cycle = c.cycles
 		c.Trace.Trap(ev)
 	}
@@ -568,7 +580,7 @@ func (c *CPU) trap(e *Exception) uint64 {
 	if c.Vector == nil {
 		panic(fmt.Sprintf("arm: trap %s with no EL2 vector installed", e.EC))
 	}
-	c.el, c.level = EL2, 0
+	c.setWord(stMode, mode&^(modeELMask|modeLevelMask)|uint64(EL2))
 	var v uint64
 	if j := c.jit; j != nil && c.HookTrap == nil && c.HookTick == nil {
 		var exc [jit.ExcWords]uint64
@@ -587,10 +599,16 @@ func (c *CPU) trap(e *Exception) uint64 {
 	}
 	c.cycles += c.Cost.TrapReturn
 	c.attribute(0)
-	c.el = EL1
-	c.level = c.guestLevel
+	c.enterGuestMode()
 	c.deliverVIRQ()
 	return v
+}
+
+// enterGuestMode drops to EL1 at the scheduled guest's level.
+func (c *CPU) enterGuestMode() {
+	m := c.word(stMode)
+	guest := m & modeGuestMask >> modeGuestShift
+	c.setWord(stMode, m&^(modeELMask|modeLevelMask)|uint64(EL1)|guest<<modeLevelShift)
 }
 
 // RunGuest is the host hypervisor's guest entry: it charges the eret,
@@ -599,18 +617,18 @@ func (c *CPU) trap(e *Exception) uint64 {
 // both for the top-level run loop and for emulating exception entry into a
 // guest hypervisor's virtual EL2 vector (forwarding an exit, Section 4).
 func (c *CPU) RunGuest(level VLevel, fn func()) {
-	if c.el != EL2 {
+	if c.el() != EL2 {
 		panic("arm: RunGuest requires EL2")
 	}
 	c.cycles += c.Cost.TrapReturn
 	c.attribute(0)
-	c.el = EL1
 	c.SetGuestLevel(level)
+	c.enterGuestMode()
 	c.deliverVIRQ()
 	fn()
-	c.attribute(c.level)
-	c.el = EL2
-	c.level = 0
+	m := c.word(stMode)
+	c.attribute(VLevel(m & modeLevelMask >> modeLevelShift))
+	c.setWord(stMode, m&^(modeELMask|modeLevelMask)|uint64(EL2))
 }
 
 // deliverVIRQ delivers the highest-priority pending virtual interrupt from
@@ -618,7 +636,12 @@ func (c *CPU) RunGuest(level VLevel, fn func()) {
 // interface (Section 2: VMs acknowledge and complete virtual interrupts
 // without trapping).
 func (c *CPU) deliverVIRQ() {
-	if c.el != EL1 || c.inVIRQ || c.irqMasked || c.VIRQ == nil {
+	m := c.word(stMode)
+	if EL(m&modeELMask) != EL1 || m&(modeInVIRQ|modeIRQMasked) != 0 {
+		return
+	}
+	sink := c.VIRQ()
+	if sink == nil {
 		return
 	}
 	c.regsTap.Read(int(ICH_HCR_EL2))
@@ -636,11 +659,9 @@ func (c *CPU) deliverVIRQ() {
 		c.regsTap.Read(int(lr))
 		before := c.regs[lr]
 		c.cycles += c.Cost.ExcEnterEL1
-		c.inVIRQ = true
-		c.irqMasked = true
-		c.VIRQ.HandleVIRQ(c, int(before&LRVIntIDMask))
-		c.inVIRQ = false
-		c.irqMasked = false
+		c.setWord(stMode, c.word(stMode)|modeInVIRQ|modeIRQMasked)
+		sink.HandleVIRQ(c, int(before&LRVIntIDMask))
+		c.setWord(stMode, c.word(stMode)&^(modeInVIRQ|modeIRQMasked))
 		c.regsTap.Read(int(lr))
 		if c.regs[lr] == before {
 			// The guest did not acknowledge; stop to avoid livelock.
@@ -677,7 +698,7 @@ func (c *CPU) GuestWrite(ipa mem.Addr, size int, v uint64) {
 
 func (c *CPU) guestAccess(ipa mem.Addr, size int, write bool, wval uint64) (uint64, bool) {
 	pa := ipa
-	if c.el != EL2 && c.hcrRead()&HCRVM != 0 {
+	if c.el() != EL2 && c.hcrRead()&HCRVM != 0 {
 		if c.S2 == nil {
 			panic("arm: stage-2 enabled with no MMU attached")
 		}

@@ -52,9 +52,9 @@ func NewCtxSeq(regs, slots []SysReg) *CtxSeq {
 }
 
 // seqRec resolves the active JIT recording's view of store: the engine
-// tracks context files by read/write set instead of walking them, so the
-// batched sequences must report each slot access exactly like the
-// per-register Get/Set funnel would. A nil engine or idle recorder costs
+// tracks context files by read/write set, so the batched sequences must
+// report each slot access exactly like the per-register Get/Set funnel
+// would. A nil engine or idle recorder costs
 // one branch; a store that is not a registered file poisons via the
 // zero FileID inside the engine.
 func (c *CPU) seqRec(store *[NumSysRegs]uint64) (*jit.Engine, jit.FileID) {
@@ -67,7 +67,7 @@ func (c *CPU) seqRec(store *[NumSysRegs]uint64) (*jit.Engine, jit.FileID) {
 // SaveSeq reads the sequence into store (store[slots[i]] = MRS(regs[i])).
 func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	rec, fid := c.seqRec(store)
-	if c.el != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+	if c.el() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
 		for i, r := range seq.regs {
 			v := c.MRS(r)
 			if rec != nil {
@@ -105,7 +105,7 @@ func (c *CPU) SaveSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 // LoadSeq writes the sequence from store (MSR(regs[i], store[slots[i]])).
 func (c *CPU) LoadSeq(seq *CtxSeq, store *[NumSysRegs]uint64) {
 	rec, fid := c.seqRec(store)
-	if c.el != EL2 || (seq.vheOnly && !c.Feat.VHE) {
+	if c.el() != EL2 || (seq.vheOnly && !c.Feat.VHE) {
 		for i, r := range seq.regs {
 			if rec != nil {
 				rec.FileRead(fid, int(seq.slots[i]))

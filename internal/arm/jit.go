@@ -2,32 +2,110 @@ package arm
 
 import "github.com/nevesim/neve/internal/jit"
 
-// This file is the CPU model's side of the trace-JIT layer: cause packing
-// for the recorder key, the state walk, and the clock hooks. The dispatch
-// itself is inlined into trap() so the interpreted path pays one nil check.
+// This file is the CPU model's side of the trace-JIT layer: the core state
+// file, cause packing for the recorder key, and the clock hooks. The
+// dispatch itself is inlined into trap() so the interpreted path pays one
+// nil check.
+
+// Core state file layout. The mode word packs the physical exception
+// level, the running and scheduled virtualization levels, and the two
+// interrupt-masking flags; every field round-trips exactly (ELs and levels
+// are tiny enums).
+const (
+	stMode   = iota // el | level<<8 | guestLevel<<16 | irqMasked | inVIRQ
+	stNV2           // NEVE staging slot (see nv2Access)
+	stVIRQ          // VIRQ sink, as an index into sinks
+	stIRQLen        // pending physical interrupts (irqQueue)
+	stIRQ0
+	cpuWords = stIRQ0 + irqSlots
+)
+
+// irqSlots is how many pending physical interrupts the state file holds;
+// a deeper queue spills, and a recording that touches the spill poisons.
+const irqSlots = 8
+
+var irqQueue = jit.Queue{Len: stIRQLen, Slot0: stIRQ0, Slots: irqSlots}
+
+const (
+	modeELMask     = 0xff
+	modeLevelShift = 8
+	modeLevelMask  = 0xff << modeLevelShift
+	modeGuestShift = 16
+	modeGuestMask  = 0xff << modeGuestShift
+	modeIRQMasked  = 1 << 24
+	modeInVIRQ     = 1 << 25
+)
+
+// word reads core state word i through the tap.
+func (c *CPU) word(i int) uint64 {
+	c.stTap.Read(i)
+	return c.st[i]
+}
+
+// setWord writes core state word i through the tap.
+func (c *CPU) setWord(i int, v uint64) {
+	c.stTap.Write(i)
+	c.st[i] = v
+}
+
+func (c *CPU) el() EL { return EL(c.word(stMode) & modeELMask) }
+
+func (c *CPU) level() VLevel { return VLevel(c.word(stMode) & modeLevelMask >> modeLevelShift) }
+
+// VIRQ returns the IRQ vector of the guest currently scheduled at vEL1, or
+// nil.
+func (c *CPU) VIRQ() VIRQSink {
+	i := c.word(stVIRQ)
+	if i == 0 {
+		return nil
+	}
+	return c.sinks[i-1]
+}
+
+// SetVIRQ schedules the guest IRQ vector s (nil for none). A sink the core
+// has not seen before is added to its table; doing so mid-recording
+// poisons, since replay can only restore table indexes.
+func (c *CPU) SetVIRQ(s VIRQSink) {
+	c.setWord(stVIRQ, uint64(c.sinkIndex(s)))
+}
+
+func (c *CPU) sinkIndex(s VIRQSink) int {
+	if s == nil {
+		return 0
+	}
+	for i, k := range c.sinks {
+		if k == s {
+			return i + 1
+		}
+	}
+	c.stTap.Poison()
+	c.sinks = append(c.sinks, s)
+	return len(c.sinks)
+}
+
+// AddVIRQSink registers a sink the core's scheduled-guest word may name;
+// machine assembly registers every guest up front.
+func (c *CPU) AddVIRQSink(s VIRQSink) { c.sinkIndex(s) }
 
 // SetJIT attaches (or detaches, with nil) the trace-JIT engine. The poison
 // hook is bound once here so JITPoison costs a nil check when no engine is
-// installed, and the core's register file is registered with the engine
-// for read/write-set tracking (its accessors notify c.regsTap).
+// installed, and the core's register file and state file are registered
+// with the engine for read/write-set tracking (their accessors notify
+// c.regsTap and c.stTap). Re-attaching an engine the core was already
+// registered with (the SMP engine swaps shard engines in every run) reuses
+// the existing file IDs.
 func (c *CPU) SetJIT(j *jit.Engine) {
 	c.jit = j
 	if j != nil {
 		c.jitPoison = j.Poison
-		// Re-attaching an engine this core was already registered with
-		// (the SMP engine swaps shard engines in and out every run) must
-		// reuse the existing file ID: registering the same backing array
-		// twice would leak IDs and split the read/write sets.
-		id := j.FileByBase(&c.regs[0])
-		if id == 0 {
-			id = j.RegisterFile(c.regs[:])
-		}
-		c.regsTap = j.Tap(id)
-		c.regsFID = id
+		c.regsTap = j.TapFor(c.regs[:], false)
+		c.regsFID = j.FileByBase(&c.regs[0])
+		c.stTap = j.TapFor(c.st[:], false)
 	} else {
 		c.jitPoison = nil
 		c.regsTap = nil
 		c.regsFID = 0
+		c.stTap = nil
 	}
 }
 
@@ -62,9 +140,9 @@ func (c *CPU) JITPred(p jit.Pred, covers ...SysReg) {
 }
 
 // JITPoison marks the active JIT recording, if any, non-promotable. Model
-// code called from trap handlers whose effects the JIT state walk cannot
-// express (NEVE page accesses, virtual interrupt delivery into a guest,
-// enabled-timer evaluation) calls it.
+// code called from trap handlers whose effects the tracked state files
+// cannot express (NEVE page accesses, virtual interrupt delivery into a
+// guest, enabled-timer evaluation, lazily created objects) calls it.
 func (c *CPU) JITPoison() {
 	if c.jitPoison != nil {
 		c.jitPoison()
@@ -77,11 +155,12 @@ func (c *CPU) JITPoison() {
 func (c *CPU) SetJITSharedPoison(fn func()) { c.jitPoisonShared = fn }
 
 // JITPoisonShared poisons recordings whose correctness depends on
-// machine-shared state the per-vCPU shard walks exclude: the reader's own
-// in-flight recording is poisoned AND every sibling shard currently
-// recording is flagged (the shared word it read may be mid-update from
-// this goroutine's point of view at replay time). Outside SMP shard mode
-// this is a no-op — the full-machine walk already guards shared state.
+// machine-shared state the per-vCPU shard engines do not track: the
+// reader's own in-flight recording is poisoned AND every sibling shard
+// currently recording is flagged (the shared word it read may be
+// mid-update from this goroutine's point of view at replay time). Outside
+// SMP shard mode this is a no-op — the full-machine engine tracks shared
+// state.
 func (c *CPU) JITPoisonShared() {
 	if c.jitPoisonShared != nil {
 		c.jitPoisonShared()
@@ -100,40 +179,6 @@ func PackExc(e *Exception, w *[jit.ExcWords]uint64) {
 	w[1] = e.Val
 	w[2] = uint64(e.FaultIPA)
 	w[3] = uint64(e.IRQ)
-}
-
-// WalkJIT walks the core's replay-relevant state for the engine (the stack
-// model wraps it in its own jit.Source together with the hypervisor-side
-// state). Excluded, deliberately: cycle accounting (expressed as a
-// ClockDelta), the exception pool and depth (scratch private to in-flight
-// interpreted traps, which lets a super-op recorded at one nesting depth
-// hit at another), the device dispatch tables (fixed at construction), and
-// the system register file, which is tracked by read/write set through
-// c.regsTap instead of being walked (see SetJIT).
-func (c *CPU) WalkJIT(w *jit.W) {
-	if c.regsTap == nil {
-		// A core the engine does not track cannot have its register reads
-		// guarded; no super-op may span it.
-		w.Fail()
-		return
-	}
-	// The mode fields pack into one walk word; every field round-trips
-	// exactly (ELs and levels are tiny enums).
-	pack := uint64(c.el) | uint64(c.level)<<8 | uint64(c.guestLevel)<<16
-	if c.irqMasked {
-		pack |= 1 << 24
-	}
-	if c.inVIRQ {
-		pack |= 1 << 25
-	}
-	w.Word(&pack)
-	c.el = EL(pack & 0xff)
-	c.level = VLevel(pack >> 8 & 0xff)
-	c.guestLevel = VLevel(pack >> 16 & 0xff)
-	c.irqMasked = pack&(1<<24) != 0
-	c.inVIRQ = pack&(1<<25) != 0
-	w.Word(&c.nv2Val)
-	w.IntSlice(&c.pendingIRQ)
 }
 
 // JITClockState snapshots the core's cycle accounting for the engine.

@@ -5,7 +5,7 @@
 // the JIT at the trap site, precisely because its hooks observe every
 // trap), using the same deterministic draws the injector would make, so a
 // jit-on and a jit-off run see the identical fault at the identical
-// point. A perturbed walked word must bail the affected super-ops to the
+// point. A perturbed tracked word must bail the affected super-ops to the
 // interpreter; a perturbation outside the guard (guest RAM) must be
 // invisible to replay exactly as it is to the interpreted sequence —
 // recordings that touch memory are never promoted.

@@ -3,43 +3,24 @@ package gic
 // DistCheckpoint captures the distributor's interrupt state. The target
 // wiring is fixed at machine assembly and is not part of the capture.
 type DistCheckpoint struct {
-	enabled [NumINTIDs]bool
-	pending [NumINTIDs]bool
-	active  [NumINTIDs]bool
-	route   [NumINTIDs]int
-	ctlr    uint32
+	st    [distWords]uint64
+	hi    [3][NumINTIDs]bool
+	route [NumINTIDs]int
 }
 
 // Checkpoint captures the distributor state.
 func (d *Dist) Checkpoint() *DistCheckpoint {
-	return &DistCheckpoint{
-		enabled: d.enabled,
-		pending: d.pending,
-		active:  d.active,
-		route:   d.route,
-		ctlr:    d.ctlr,
-	}
+	return &DistCheckpoint{st: d.st, hi: d.hi, route: d.route}
 }
 
-// Restore returns the distributor to a checkpointed state.
+// Restore returns the distributor to a checkpointed state. The generation
+// moves on rather than back, so nothing guarded against the pre-restore
+// generation can match again.
 func (d *Dist) Restore(cp *DistCheckpoint) {
-	d.enabled = cp.enabled
-	d.pending = cp.pending
-	d.active = cp.active
+	gen := d.st[dGen]
+	d.st = cp.st
+	d.st[dGen] = gen + 1
+	d.st[dTargets] = uint64(len(d.targets))
+	d.hi = cp.hi
 	d.route = cp.route
-	d.ctlr = cp.ctlr
-	d.enabledW = pack(d.enabled[:jitINTIDs])
-	d.pendingW = pack(d.pending[:jitINTIDs])
-	d.activeW = pack(d.active[:jitINTIDs])
-	d.gen++
-}
-
-func pack(bits []bool) uint64 {
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"github.com/nevesim/neve/internal/arm"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 )
 
@@ -60,55 +61,51 @@ type Target interface {
 	AssertIRQ(intid int)
 }
 
-// Dist is the physical distributor.
+// Dist is the physical distributor. Its interrupt state for the IDs the
+// model actually signals, its control register, and its mutation
+// generation live in a tracked state file (see jit.go); higher IDs and
+// SPI routing live in plain arrays covered by the generation word.
 type Dist struct {
 	targets []Target
 
-	enabled [NumINTIDs]bool
-	pending [NumINTIDs]bool
-	active  [NumINTIDs]bool
-	// enabledW/pendingW/activeW mirror the low jitINTIDs bits of the
-	// bool arrays as packed words, maintained by the set* funnels; the
-	// JIT state walk guards and restores the packed words instead of
-	// iterating the arrays (see jit.go).
-	enabledW uint64
-	pendingW uint64
-	activeW  uint64
+	st [distWords]uint64
+	jt *jit.FileTap
+	// hi holds the enabled/pending/active state of IDs at or above
+	// jitINTIDs, indexed [dEnabled|dPending|dActive][intid].
+	hi [3][NumINTIDs]bool
 	// route is the target core for SPIs.
 	route [NumINTIDs]int
-	ctlr  uint32
-
-	// gen counts mutations the JIT state walk does not track
-	// word-for-word: routing changes and interrupt IDs at or above
-	// jitINTIDs. It is pinned as a walk shape word (see jit.go), so
-	// bumping it invalidates every compiled super-op.
-	gen uint64
 }
 
 // NewDist returns a distributor delivering to the given cores.
 func NewDist(targets ...Target) *Dist {
-	d := &Dist{targets: targets}
+	d := &Dist{}
+	for _, t := range targets {
+		d.AddTarget(t)
+	}
 	return d
 }
 
 // AddTarget appends a core (used while wiring a machine).
-func (d *Dist) AddTarget(t Target) { d.targets = append(d.targets, t) }
+func (d *Dist) AddTarget(t Target) {
+	d.targets = append(d.targets, t)
+	d.st[dTargets] = uint64(len(d.targets))
+}
 
 // EnableAll enables every interrupt, the common post-boot configuration of
 // the modeled workloads.
 func (d *Dist) EnableAll() {
-	for i := range d.enabled {
-		d.enabled[i] = true
+	for i := range d.hi[dEnabled] {
+		d.hi[dEnabled][i] = true
 	}
-	d.enabledW = ^uint64(0)
-	d.ctlr = 1
-	d.gen++
+	d.st[dEnabled] = ^uint64(0)
+	d.st[dCtlr] = 1
+	d.st[dGen]++
 }
 
 // Enable enables one interrupt.
 func (d *Dist) Enable(intid int) {
-	d.setEnabled(d.check(intid), true)
-	d.touch(intid)
+	d.setBit(dEnabled, d.check(intid), true)
 }
 
 // Route sets the target core of an SPI.
@@ -117,7 +114,7 @@ func (d *Dist) Route(intid, cpu int) {
 		panic(fmt.Sprintf("gic: Route of non-SPI %d", intid))
 	}
 	d.route[d.check(intid)] = cpu
-	d.gen++
+	d.touch()
 }
 
 func (d *Dist) check(intid int) int {
@@ -137,23 +134,21 @@ func (d *Dist) AssertSPI(intid int) {
 		panic(fmt.Sprintf("gic: AssertSPI of non-SPI %d", intid))
 	}
 	// Enabled, not latched: the common post-boot case. Deliver without
-	// touching distributor state at all — the transient pending set/clear
-	// nets out, and skipping touch() keeps concurrent in-segment
-	// self-delivery (a core asserting its own timer or device interrupt)
-	// free of writes to shared words; only the target core's walked
-	// pending queue mutates.
-	if d.enabled[intid] && !d.pending[intid] {
-		d.deliver(d.route[intid], intid)
+	// writing distributor state at all — the transient pending set/clear
+	// nets out, and skipping it keeps concurrent in-segment self-delivery
+	// (a core asserting its own timer or device interrupt) free of writes
+	// to shared words; only the target core's pending queue mutates.
+	if d.bit(dEnabled, intid) && !d.bit(dPending, intid) {
+		d.deliver(d.routeOf(intid), intid)
 		return
 	}
-	d.touch(intid)
-	if !d.enabled[intid] {
-		d.setPending(intid, true)
+	if !d.bit(dEnabled, intid) {
+		d.setBit(dPending, intid, true)
 		return
 	}
-	d.setPending(intid, true)
-	d.deliver(d.route[intid], intid)
-	d.setPending(intid, false)
+	d.setBit(dPending, intid, true)
+	d.deliver(d.routeOf(intid), intid)
+	d.setBit(dPending, intid, false)
 }
 
 // AssertPPI raises a private interrupt on one core (edge semantics, as
@@ -161,18 +156,17 @@ func (d *Dist) AssertSPI(intid int) {
 func (d *Dist) AssertPPI(cpu, intid int) {
 	d.check(intid)
 	// Mutation-free fast path; see AssertSPI.
-	if d.enabled[intid] && !d.pending[intid] {
+	if d.bit(dEnabled, intid) && !d.bit(dPending, intid) {
 		d.deliver(cpu, intid)
 		return
 	}
-	d.touch(intid)
-	if !d.enabled[intid] {
-		d.setPending(intid, true)
+	if !d.bit(dEnabled, intid) {
+		d.setBit(dPending, intid, true)
 		return
 	}
-	d.setPending(intid, true)
+	d.setBit(dPending, intid, true)
 	d.deliver(cpu, intid)
-	d.setPending(intid, false)
+	d.setBit(dPending, intid, false)
 }
 
 // SendSGI raises a software-generated interrupt on the target core: the
@@ -181,12 +175,12 @@ func (d *Dist) SendSGI(targetCPU, intid int) {
 	if intid > MaxSGI {
 		panic(fmt.Sprintf("gic: SendSGI of non-SGI %d", intid))
 	}
-	d.setPending(intid, true)
+	d.setBit(dPending, intid, true)
 	d.deliver(targetCPU, intid)
 }
 
 func (d *Dist) deliver(cpu, intid int) {
-	if cpu < 0 || cpu >= len(d.targets) {
+	if cpu < 0 || cpu >= int(d.word(dTargets)) {
 		panic(fmt.Sprintf("gic: no core %d for interrupt %d", cpu, intid))
 	}
 	d.targets[cpu].AssertIRQ(intid)
@@ -195,9 +189,8 @@ func (d *Dist) deliver(cpu, intid int) {
 // Activate marks a delivered interrupt active (ack by the hypervisor).
 func (d *Dist) Activate(intid int) {
 	d.check(intid)
-	d.touch(intid)
-	d.setPending(intid, false)
-	d.setActive(intid, true)
+	d.setBit(dPending, intid, false)
+	d.setBit(dActive, intid, true)
 }
 
 // Deactivate completes a physical interrupt. The virtual CPU interface
@@ -206,15 +199,14 @@ func (d *Dist) Activate(intid int) {
 // EOI path of Table 1).
 func (d *Dist) Deactivate(intid int) {
 	d.check(intid)
-	d.touch(intid)
-	d.setActive(intid, false)
+	d.setBit(dActive, intid, false)
 }
 
 // IsPending reports whether an interrupt is pending (tests, diagnostics).
-func (d *Dist) IsPending(intid int) bool { return d.pending[d.check(intid)] }
+func (d *Dist) IsPending(intid int) bool { return d.bit(dPending, d.check(intid)) }
 
 // IsActive reports whether an interrupt is active.
-func (d *Dist) IsActive(intid int) bool { return d.active[d.check(intid)] }
+func (d *Dist) IsActive(intid int) bool { return d.bit(dActive, d.check(intid)) }
 
 // Access implements the host-side MMIO window (arm.PhysBus is wired through
 // the machine's bus, which dispatches by address range).
@@ -226,7 +218,7 @@ func (d *Dist) Access(c *arm.CPU, pa mem.Addr, write bool, size int, val *uint64
 	if !write {
 		switch off {
 		case RegCTLR:
-			*val = uint64(d.ctlr)
+			*val = uint64(uint32(d.word(dCtlr)))
 		default:
 			*val = 0
 		}
@@ -234,7 +226,7 @@ func (d *Dist) Access(c *arm.CPU, pa mem.Addr, write bool, size int, val *uint64
 	}
 	switch {
 	case off == RegCTLR:
-		d.ctlr = uint32(*val)
+		d.setWord(dCtlr, uint64(uint32(*val)))
 	case off == RegSGIR:
 		// GICv2 SGIR format (simplified): target core in [23:16],
 		// interrupt ID in [3:0].
@@ -243,16 +235,14 @@ func (d *Dist) Access(c *arm.CPU, pa mem.Addr, write bool, size int, val *uint64
 		base := int(off-RegISENABLER) * 8
 		for b := 0; b < 32 && base+b < NumINTIDs; b++ {
 			if *val&(1<<uint(b)) != 0 {
-				d.setEnabled(base+b, true)
-				d.touch(base + b)
+				d.setBit(dEnabled, base+b, true)
 			}
 		}
 	case off >= RegICENABLER && off < RegICENABLER+NumINTIDs/8:
 		base := int(off-RegICENABLER) * 8
 		for b := 0; b < 32 && base+b < NumINTIDs; b++ {
 			if *val&(1<<uint(b)) != 0 {
-				d.setEnabled(base+b, false)
-				d.touch(base + b)
+				d.setBit(dEnabled, base+b, false)
 			}
 		}
 	}

@@ -2,62 +2,79 @@ package gic
 
 import "github.com/nevesim/neve/internal/jit"
 
-// jitINTIDs bounds the interrupt IDs the JIT state walk tracks
-// individually, as per-array bitmap words. Every interrupt the model
-// actually signals — SGIs, PPIs, and the device SPIs — lies below it;
-// mutations at or above it, and all routing changes, bump gen instead,
-// which fails the guard of every previously compiled super-op.
+// The distributor's side of the trace-JIT layer: its state file.
+//
+// The three interrupt bitmaps of the IDs below jitINTIDs are packed words;
+// every interrupt the model actually signals — SGIs, PPIs, and the device
+// SPIs — lies below it. State the file does not hold word-for-word (IDs at
+// or above jitINTIDs, SPI routing) is covered by the generation word:
+// reading it guards the generation, and mutating it bumps the generation
+// and poisons the active recording, which could not replay the mutation.
+const (
+	dEnabled = iota // packed enable bits
+	dPending        // packed pending bits
+	dActive         // packed active bits
+	dCtlr           // GICD_CTLR
+	dGen            // generation of the state held outside the file
+	dTargets        // number of wired cores
+	distWords
+)
+
+// jitINTIDs bounds the interrupt IDs tracked individually, as bits of the
+// packed bitmap words.
 const jitINTIDs = 64
 
-// WalkJIT implements jit.Source for the distributor: the low interrupt
-// state as the three packed mirror words plus the control register, with
-// the target list length and the coarse-mutation generation pinned as
-// shape words (recorded sequences never change them; anything else that
-// does must invalidate compiled super-ops).
-func (d *Dist) WalkJIT(w *jit.W) {
-	w.Shape(uint64(len(d.targets)))
-	w.Shape(d.gen)
-	walkPacked(w, &d.enabledW, d.enabled[:jitINTIDs])
-	walkPacked(w, &d.pendingW, d.pending[:jitINTIDs])
-	walkPacked(w, &d.activeW, d.active[:jitINTIDs])
-	tmp := uint64(d.ctlr)
-	w.Word(&tmp)
-	d.ctlr = uint32(tmp)
-}
-
-// walkPacked walks a bitmap through its packed mirror word; only a
-// restore that changes the mirror pays the unpack back into the array.
-func walkPacked(w *jit.W, word *uint64, bits []bool) {
-	old := *word
-	w.Word(word)
-	if *word == old {
-		return
-	}
-	for i := range bits {
-		bits[i] = *word&(1<<uint(i)) != 0
+// SetJIT registers the distributor's state file with e (nil detaches).
+func (d *Dist) SetJIT(e *jit.Engine) {
+	d.jt = nil
+	if e != nil {
+		d.jt = e.TapFor(d.st[:], false)
 	}
 }
 
-// setEnabled/setPending/setActive funnel every interrupt-bitmap mutation
-// so the packed mirrors stay in sync with the bool arrays.
-func (d *Dist) setEnabled(i int, v bool) { d.enabled[i] = v; mirror(&d.enabledW, i, v) }
-func (d *Dist) setPending(i int, v bool) { d.pending[i] = v; mirror(&d.pendingW, i, v) }
-func (d *Dist) setActive(i int, v bool)  { d.active[i] = v; mirror(&d.activeW, i, v) }
+func (d *Dist) word(i int) uint64 {
+	d.jt.Read(i)
+	return d.st[i]
+}
 
-func mirror(w *uint64, i int, v bool) {
-	if i >= jitINTIDs {
+func (d *Dist) setWord(i int, v uint64) {
+	d.jt.Write(i)
+	d.st[i] = v
+}
+
+// bit reads one interrupt's state in bitmap w (dEnabled, dPending or
+// dActive).
+func (d *Dist) bit(w, intid int) bool {
+	if intid < jitINTIDs {
+		return d.word(w)&(1<<uint(intid)) != 0
+	}
+	d.word(dGen)
+	return d.hi[w][intid]
+}
+
+// setBit funnels every interrupt-bitmap mutation.
+func (d *Dist) setBit(w, intid int, v bool) {
+	if intid >= jitINTIDs {
+		d.hi[w][intid] = v
+		d.touch()
 		return
 	}
+	old := d.word(w)
 	if v {
-		*w |= 1 << uint(i)
+		d.setWord(w, old|1<<uint(intid))
 	} else {
-		*w &^= 1 << uint(i)
+		d.setWord(w, old&^(1<<uint(intid)))
 	}
 }
 
-// touch records a mutation the walk does not cover word-for-word.
-func (d *Dist) touch(intid int) {
-	if intid < 0 || intid >= jitINTIDs {
-		d.gen++
-	}
+// routeOf returns an SPI's target core.
+func (d *Dist) routeOf(intid int) int {
+	d.word(dGen)
+	return d.route[intid]
+}
+
+// touch records a mutation of state the file does not hold word-for-word.
+func (d *Dist) touch() {
+	d.jt.Poison()
+	d.setWord(dGen, d.word(dGen)+1)
 }

@@ -97,7 +97,7 @@ func (g *VCPUIfc) eoi(c *arm.CPU, intid int) {
 			c.SetReg(r, 0)
 			if v&arm.LRHW != 0 && g.Dist != nil {
 				// Deactivate mutates shared distributor words the
-				// per-vCPU JIT shard walk excludes.
+				// per-vCPU JIT shard engines do not track.
 				c.JITPoisonShared()
 				g.Dist.Deactivate(arm.LRPIntID(v))
 			}
@@ -114,7 +114,7 @@ func (g *VCPUIfc) maybeMaintenance(c *arm.CPU) {
 		return
 	}
 	// The delivery below reads the shared enable bits and asserts into a
-	// per-CPU queue via the distributor; neither is in a shard's walk.
+	// per-CPU queue via the distributor; a shard tracks neither.
 	c.JITPoisonShared()
 	for i := 0; i < 16; i++ {
 		if arm.LRStateOf(c.Reg(arm.ICHLR(i))) != arm.LRStateInvalid {

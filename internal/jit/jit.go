@@ -5,19 +5,21 @@
 // vector of preconditions — and replays them with a single dispatch instead
 // of N interpreted traps.
 //
-// Correctness rests on one invariant: a super-op replays if and only if the
-// complete walked machine state equals the state the recording started from
-// (the guard), every word of a tracked register file the recording read
-// still holds the value it read (the file guard — large register files are
-// not walked wholesale; their accesses funnel through FileRead/FileWrite
-// taps, so a recording guards exactly its read set and restores exactly its
-// write set), every stage-2 TLB translation the recording consumed is still
-// cached with the same result (the probes), and nothing outside the walked
-// or tracked state was touched during the recording (enforced by poisoning:
-// memory, device, and TLB mutation hooks armed for the duration of a
-// recording mark it non-promotable, as does any access to an unregistered
-// file). On any guard mismatch the trap runs interpreted with zero
-// behavioral difference.
+// All replay-relevant machine state lives in small fixed register files
+// registered with the engine (RegisterFile), and every access to them
+// funnels through the file's FileTap. Correctness rests on one invariant: a
+// super-op replays if and only if every tracked word its recording read
+// still holds the value it read (the read set — nothing else is compared,
+// so a guard costs what the sequence read, not what the machine holds),
+// every stage-2 TLB translation the recording consumed is still cached with
+// the same result (the probes), the generation the engine pins (Hooks.Gen)
+// is unchanged, and nothing outside the tracked state was touched during
+// the recording (enforced by poisoning: memory, device, and TLB mutation
+// hooks armed for the duration of a recording mark it non-promotable, as do
+// accesses to an unregistered file, a write to a read-only file, and any
+// state a file's owner declares inexpressible). Replay then restores
+// exactly the recording's write set. On any guard mismatch the trap runs
+// interpreted with zero behavioral difference.
 //
 // The guard vector is split: alongside the value guards, a recording may
 // carry parameter slots — words the recorded sequence consumed without
@@ -65,7 +67,7 @@ const DefaultThreshold = 2
 
 const (
 	// poisonLimit retires a trap cause after this many failed recordings;
-	// causes that keep touching unwalked state are never worth retrying.
+	// causes that keep touching untracked state are never worth retrying.
 	poisonLimit = 4
 	// maxChain bounds the super-op variants kept per cause; move-to-front
 	// keeps the matching variant's guard check first, so a longer chain
@@ -107,13 +109,6 @@ type ClockDelta struct {
 	PostGap uint64
 }
 
-// Source walks one subsystem's replay-relevant state. The same walk runs in
-// capture, match, and restore mode; the walk order must be deterministic
-// and any state-dependent branching must be pinned with Shape words.
-type Source interface {
-	WalkJIT(w *W)
-}
-
 // Hooks connects the engine to the machine it accelerates.
 type Hooks struct {
 	NumCPUs      int
@@ -131,173 +126,14 @@ type Hooks struct {
 	// copying the full ClockState.
 	ClockGap func(cpu int) uint64
 	Trace    *trace.Collector
+	// Gen, when non-nil, returns a generation every super-op pins: state
+	// that is not worth a tracked word (the trace collector's mode bits)
+	// bumps it, and a recording across a bump poisons.
+	Gen func() uint64
 	// Arm and Disarm install and remove the poison taps on memory,
 	// devices, and the TLB for the duration of a recording.
 	Arm    func()
 	Disarm func()
-}
-
-type walkMode int
-
-const (
-	modeCapture walkMode = iota
-	modeMatch
-	modeRestore
-)
-
-// W is the state walker. One walk implementation per subsystem serves all
-// three uses: capture appends the live state to a vector, match compares
-// the live state against a recorded vector, and restore writes a recorded
-// vector back into the live state.
-//
-// Two cursors advance together: data words (values that may change across
-// the super-op and are restored on replay) and shape words (structural
-// facts — presence of lazily-created objects, configuration bits — that
-// must be identical before and after the recorded sequence; promotion
-// rejects recordings whose shape changed, which is what makes the restore
-// walk structurally equal to the capture walks).
-type W struct {
-	mode   walkMode
-	failed bool
-	data   []uint64
-	pos    int
-	shapes []uint64
-	spos   int
-}
-
-// Word walks one data word through p. In restore mode the recorded value is
-// written back, so walks using a temporary must copy it out afterwards:
-//
-//	tmp := uint64(c.el); w.Word(&tmp); c.el = EL(tmp)
-//
-// is correct in all three modes.
-func (w *W) Word(p *uint64) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.data = append(w.data, *p)
-	case modeMatch:
-		if w.pos >= len(w.data) || w.data[w.pos] != *p {
-			w.failed = true
-			return
-		}
-		w.pos++
-	case modeRestore:
-		if w.pos >= len(w.data) {
-			panic("jit: restore walk ran past the recorded state vector")
-		}
-		*p = w.data[w.pos]
-		w.pos++
-	}
-}
-
-// Words walks a contiguous run of data words in place.
-func (w *W) Words(s []uint64) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.data = append(w.data, s...)
-	case modeMatch:
-		if w.pos+len(s) > len(w.data) {
-			w.failed = true
-			return
-		}
-		rec := w.data[w.pos : w.pos+len(s)]
-		for i := range s {
-			if rec[i] != s[i] {
-				w.failed = true
-				return
-			}
-		}
-		w.pos += len(s)
-	case modeRestore:
-		if w.pos+len(s) > len(w.data) {
-			panic("jit: restore walk ran past the recorded state vector")
-		}
-		copy(s, w.data[w.pos:w.pos+len(s)])
-		w.pos += len(s)
-	}
-}
-
-// IntSlice walks a variable-length int slice: its length is a data word
-// (lengths may legitimately differ between the pre and post state — e.g. a
-// pending-interrupt queue drained by the sequence) followed by the
-// elements. Restore reuses the slice's backing storage when it fits.
-func (w *W) IntSlice(p *[]int) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.data = append(w.data, uint64(len(*p)))
-		for _, v := range *p {
-			w.data = append(w.data, uint64(v))
-		}
-	case modeMatch:
-		if w.pos >= len(w.data) || w.data[w.pos] != uint64(len(*p)) {
-			w.failed = true
-			return
-		}
-		w.pos++
-		rec := w.data[w.pos:]
-		for i, v := range *p {
-			if rec[i] != uint64(v) {
-				w.failed = true
-				return
-			}
-		}
-		w.pos += len(*p)
-	case modeRestore:
-		if w.pos >= len(w.data) {
-			panic("jit: restore walk ran past the recorded state vector")
-		}
-		n := int(w.data[w.pos])
-		w.pos++
-		s := (*p)[:0]
-		for i := 0; i < n; i++ {
-			s = append(s, int(w.data[w.pos+i]))
-		}
-		w.pos += n
-		*p = s
-	}
-}
-
-// Shape walks one structural word. Capture records it, match guards it, and
-// restore ignores it: promotion only succeeds when the pre and post shape
-// vectors are identical, so after a successful match the live shape already
-// equals the recorded one.
-func (w *W) Shape(v uint64) {
-	if w.failed {
-		return
-	}
-	switch w.mode {
-	case modeCapture:
-		w.shapes = append(w.shapes, v)
-	case modeMatch:
-		if w.spos >= len(w.shapes) || w.shapes[w.spos] != v {
-			w.failed = true
-			return
-		}
-		w.spos++
-	}
-}
-
-// Fail marks state the walk cannot express (an in-flight forwarding record,
-// an unknown interrupt sink). Capture poisons the recording, match fails
-// the guard; in restore mode it is unreachable after a successful match and
-// panics to surface the soundness bug immediately.
-func (w *W) Fail() {
-	if w.failed {
-		return
-	}
-	if w.mode == modeRestore {
-		panic("jit: restore walk diverged after a successful guard match")
-	}
-	w.failed = true
 }
 
 // FileID names a register file registered for read/write-set tracking;
@@ -374,14 +210,59 @@ type FileRef struct {
 // fixed words (arm.NumSysRegs fits).
 const maxFileWords = 128
 
+// slab hands out sub-slices of chunkWords-sized chunks, so registering
+// hundreds of small files (a 64-core stack registers over 500) costs a
+// few allocations instead of several per file. Chunks are never
+// reallocated, so every slice handed out stays valid.
+type slab[T any] struct {
+	chunks [][]T
+	free   []T
+}
+
+const chunkWords = 1024
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		c := make([]T, chunkWords)
+		s.chunks = append(s.chunks, c)
+		s.free = c
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+var allQuiet = func() (q [chunkWords]bool) {
+	for i := range q {
+		q[i] = true
+	}
+	return q
+}()
+
+// setQuiet sets every quiet flag of every file to v, a chunk at a time.
+func (e *Engine) setQuiet(v bool) {
+	for _, c := range e.bools.chunks {
+		if v {
+			copy(c, allQuiet[:])
+		} else {
+			clear(c)
+		}
+	}
+}
+
 // RegisterFile registers a register file for read/write-set tracking.
-// Instead of walking (and guarding) all of it on every dispatch, the
-// file's accessors report reads and writes through a FileTap during
-// recordings, so a super-op guards exactly the words it read and
-// restores exactly the words it wrote. Every access path to the file
-// must funnel through the tap; an access to a file that is not
-// registered must poison (see FileTap and the walk sources).
-func (e *Engine) RegisterFile(f []uint64) FileID {
+// The file's accessors report reads and writes through a FileTap during
+// recordings, so a super-op guards exactly the words it read and restores
+// exactly the words it wrote. Every access path to the file must funnel
+// through the tap.
+func (e *Engine) RegisterFile(f []uint64) FileID { return e.register(f, false) }
+
+// register adds f to the tracked files. A read-only file may be guarded
+// but never restored: a read records a value guard as usual, while a write
+// (or a copy into it) poisons the recording. Per-vCPU shard engines
+// register machine-shared files this way, so a shard's replay only ever
+// writes words its vCPU owns.
+func (e *Engine) register(f []uint64, ro bool) FileID {
 	if len(f) == 0 || len(f) > maxFileWords {
 		panic("jit: register file size unsupported for tracking")
 	}
@@ -391,10 +272,16 @@ func (e *Engine) RegisterFile(f []uint64) FileID {
 		e.fileBases = make(map[*uint64]FileID)
 	}
 	e.fileBases[&f[0]] = id
+	e.ro = append(e.ro, ro)
+	q := e.bools.take(len(f))
+	if e.rec == nil {
+		copy(q, allQuiet[:])
+	}
+	e.quiet = append(e.quiet, q)
 	e.rdSeen = append(e.rdSeen, [2]uint64{})
 	e.wrSeen = append(e.wrSeen, [2]uint64{})
-	e.prov = append(e.prov, make([]int32, len(f)))
-	e.psrc = append(e.psrc, make([]int32, len(f)))
+	e.prov = append(e.prov, e.int32s.take(len(f)))
+	e.psrc = append(e.psrc, e.int32s.take(len(f)))
 	return id
 }
 
@@ -404,7 +291,20 @@ func (e *Engine) RegisterFile(f []uint64) FileID {
 func (e *Engine) FileByBase(p *uint64) FileID { return e.fileBases[p] }
 
 // Tap returns the read/write notifier for a registered file.
-func (e *Engine) Tap(id FileID) *FileTap { return &FileTap{e: e, id: id} }
+func (e *Engine) Tap(id FileID) *FileTap { return &FileTap{e: e, id: id, q: e.quiet[id-1]} }
+
+// TapFor returns e's tap for file f, registering it on first use (read-only
+// when ro; see register) and reusing the existing ID thereafter: an owner
+// that attaches the same file to the same engine repeatedly (the SMP
+// engine swaps shard engines in every run) must not split its read/write
+// sets across IDs.
+func (e *Engine) TapFor(f []uint64, ro bool) *FileTap {
+	id := e.FileByBase(&f[0])
+	if id == 0 {
+		id = e.register(f, ro)
+	}
+	return e.Tap(id)
+}
 
 // FileTap is the per-file access notifier a tracked file's accessors
 // call. The nil receiver is valid and free, so files carry a tap pointer
@@ -412,11 +312,15 @@ func (e *Engine) Tap(id FileID) *FileTap { return &FileTap{e: e, id: id} }
 type FileTap struct {
 	e  *Engine
 	id FileID
+	q  []bool // the file's quiet words
 }
 
-// Read reports a read of word idx.
+// Read reports a read of word idx. A read the active recording has no
+// use for (the word is already guarded or recorder-written), and every
+// read while no recording is active, is filtered here without a call:
+// accessors read the same few words many times per sequence.
 func (t *FileTap) Read(idx int) {
-	if t != nil && t.e.rec != nil {
+	if t != nil && !t.q[idx] {
 		t.e.FileRead(t.id, idx)
 	}
 }
@@ -425,6 +329,30 @@ func (t *FileTap) Read(idx int) {
 func (t *FileTap) Write(idx int) {
 	if t != nil && t.e.rec != nil {
 		t.e.FileWrite(t.id, idx)
+	}
+}
+
+// Poison marks the active recording non-promotable: the file's owner
+// touched state it cannot express as tracked words (a queue spill, a
+// lazily created object, an in-flight payload).
+func (t *FileTap) Poison() {
+	if t != nil {
+		t.e.Poison()
+	}
+}
+
+// Written reports whether the active recording has written word idx.
+func (t *FileTap) Written(idx int) bool {
+	return t != nil && t.e.FileWritten(t.id, idx)
+}
+
+// Transient declares that word idx, just written non-zero, flags state
+// with a payload outside the file (a queued forward): the recording may
+// only promote if the word is back to zero when it ends, since replay
+// restores the word but not the payload.
+func (t *FileTap) Transient(idx int) {
+	if t != nil && t.e.rec != nil && !t.e.rec.poisoned {
+		t.e.rec.transients = append(t.e.rec.transients, FileRef{t.id, int32(idx)})
 	}
 }
 
@@ -470,13 +398,14 @@ func (e *Engine) FileRead(f FileID, idx int) {
 		return
 	}
 	i := int(f) - 1
+	word, bit := idx>>6, uint64(1)<<uint(idx&63)
+	e.quiet[i][idx] = true
 	if pv := e.prov[i][idx]; pv != 0 {
 		if pv > 0 {
 			e.guardParam(rec, rec.moves[pv-1].param)
 		}
 		return
 	}
-	word, bit := idx>>6, uint64(1)<<uint(idx&63)
 	if e.rdSeen[i][word]&bit != 0 {
 		return
 	}
@@ -501,6 +430,7 @@ func (e *Engine) guardParam(rec *recording, pi int32) {
 	p.guarded = true
 	i := int(p.f) - 1
 	e.rdSeen[i][int(p.idx)>>6] |= uint64(1) << uint(int(p.idx)&63)
+	e.quiet[i][p.idx] = true
 	rec.freads = append(rec.freads, fileWord{p.f, p.idx, p.val})
 }
 
@@ -516,8 +446,13 @@ func (e *Engine) FileWrite(f FileID, idx int) {
 		return
 	}
 	i := int(f) - 1
+	if e.ro[i] {
+		rec.poisoned = true
+		return
+	}
 	e.prov[i][idx] = provConst
 	word, bit := idx>>6, uint64(1)<<uint(idx&63)
+	e.quiet[i][idx] = true
 	if e.wrSeen[i][word]&bit != 0 {
 		return
 	}
@@ -544,7 +479,7 @@ func (e *Engine) FileCopy(srcF FileID, srcIdx int, dstF FileID, dstIdx int, imm 
 	if rec == nil || rec.poisoned {
 		return
 	}
-	if srcF <= 0 || dstF <= 0 {
+	if srcF <= 0 || dstF <= 0 || e.ro[dstF-1] {
 		rec.poisoned = true
 		return
 	}
@@ -578,6 +513,7 @@ func (e *Engine) FileCopy(srcF FileID, srcIdx int, dstF FileID, dstIdx int, imm 
 	rec.moves = append(rec.moves, recMove{param: pi, dstF: dstF, dstIdx: int32(dstIdx), imm: imm})
 	e.prov[di][dstIdx] = int32(len(rec.moves))
 	word, bit := dstIdx>>6, uint64(1)<<uint(dstIdx&63)
+	e.quiet[di][dstIdx] = false
 	if e.wrSeen[di][word]&bit == 0 {
 		e.wrSeen[di][word] |= bit
 		rec.fwrites = append(rec.fwrites, fileWord{dstF, int32(dstIdx), 0})
@@ -622,22 +558,16 @@ func (e *Engine) LogPred(p Pred, covers ...FileRef) {
 
 // superOp is the compiled form of one recorded trap sequence.
 type superOp struct {
-	exc     [ExcWords]uint64
-	guard   []uint64
-	gshapes []uint64
-	post    []uint64
-	// walkClean marks post identical to guard: the sequence left every
-	// walked word as it found it (common for pure-read traps), so replay
-	// skips the restore walk — after a successful match it would only
-	// write back the values already live.
-	walkClean bool
-	freads    []ptrWord
-	fwrites   []ptrWord
+	exc [ExcWords]uint64
+	// gen is the Hooks.Gen value the recording ran under.
+	gen     uint64
+	freads  []ptrWord
+	fwrites []ptrWord
 	// moves are the parameter slots: replay assigns *dst = *src + imm in
-	// recorded (program) order, reading live source values, after the
-	// restore walk and before the constant fwrites — so every move source
-	// still holds its pre-replay value when read, matching the interpreted
-	// sequence, which read each source before writing it.
+	// recorded (program) order, reading live source values, before the
+	// constant fwrites — so every move source still holds its pre-replay
+	// value when read, matching the interpreted sequence, which read each
+	// source before writing it.
 	moves []moveOp
 	// preds are the replay predicates (LogPred); slack is the recorded
 	// cycle advance of the dispatching core, passed to each predicate.
@@ -667,19 +597,19 @@ type entry struct {
 
 // recording is one in-flight capture.
 type recording struct {
-	cpu      int
-	exc      [ExcWords]uint64
-	ent      *entry
-	guard    []uint64
-	gshapes  []uint64
-	freads   []fileWord
-	fwrites  []fileWord
-	params   []paramSrc
-	moves    []recMove
-	preds    []Pred
-	pwords   []FileRef
-	probes   []Probe
-	poisoned bool
+	cpu        int
+	exc        [ExcWords]uint64
+	ent        *entry
+	gen        uint64
+	transients []FileRef
+	freads     []fileWord
+	fwrites    []fileWord
+	params     []paramSrc
+	moves      []recMove
+	preds      []Pred
+	pwords     []FileRef
+	probes     []Probe
+	poisoned   bool
 }
 
 // Engine is the recorder, promotion policy, super-op cache, and replay
@@ -687,7 +617,6 @@ type recording struct {
 // deterministically on one goroutine.
 type Engine struct {
 	threshold int
-	sources   []Source
 	hooks     Hooks
 	entries   map[uint64]*entry
 	rec       *recording
@@ -703,34 +632,40 @@ type Engine struct {
 	// touched, not the registered file count.
 	files     [][]uint64
 	fileBases map[*uint64]FileID
-	rdSeen    [][2]uint64
-	wrSeen    [][2]uint64
-	prov      [][]int32
-	psrc      [][]int32
-	// w and marks are engine-owned scratch reused across dispatches so the
-	// replay hit path performs no allocation.
-	w     W
+	ro        []bool
+	// quiet marks words whose further reads the active recording can
+	// ignore: guarded, recorder-written, or pinned parameter origins. A
+	// copy into a word makes it loud again (a read must then upgrade the
+	// copy's parameter). With no recording active every word is quiet.
+	quiet  [][]bool
+	rdSeen [][2]uint64
+	wrSeen [][2]uint64
+	prov   [][]int32
+	psrc   [][]int32
+	// bools and int32s back quiet, prov and psrc.
+	bools  slab[bool]
+	int32s slab[int32]
+	// marks is the per-core clock snapshot taken when a recording begins.
 	marks []ClockState
 	// Recording scratch, reused across recordings (one is in flight at a
-	// time): capture vectors for the pre and post walks, file read/write
-	// sets, and probes. Promotion copies what a super-op keeps, so failed
+	// time): file read/write sets, parameters, predicates, probes, and
+	// transient words. Promotion copies what a super-op keeps, so failed
 	// and poisoned recordings allocate nothing.
-	preData, postData     []uint64
-	preShapes, postShapes []uint64
-	sfreads, sfwrites     []fileWord
-	sparams               []paramSrc
-	smoves                []recMove
-	spreds                []Pred
-	spwords               []FileRef
-	sprobes               []Probe
+	sfreads, sfwrites []fileWord
+	stransients       []FileRef
+	sparams           []paramSrc
+	smoves            []recMove
+	spreds            []Pred
+	spwords           []FileRef
+	sprobes           []Probe
 
 	// asyncPoison is the cross-goroutine poison flag for per-vCPU shard
 	// engines: a sibling vCPU that mutates state outside every shard's
-	// walk (shared memory, the distributor, another vCPU's chain) sets it
+	// files (shared memory, the distributor, another vCPU's chain) sets it
 	// with PoisonAsync, and the owning goroutine consumes it in EndRecord
 	// before promotion. It is cleared when a recording begins, so a
-	// mutation that fully preceded the recording (whose capture already
-	// saw the post-mutation state) cannot poison it spuriously.
+	// mutation that fully preceded the recording (whose reads already see
+	// the post-mutation state) cannot poison it spuriously.
 	asyncPoison atomic.Bool
 	// recGauge, when set, counts this engine's in-flight recordings in a
 	// caller-shared atomic: the SMP fan-out taps consult it to skip the
@@ -738,15 +673,14 @@ type Engine struct {
 	recGauge *int64
 }
 
-// New returns an engine over the given walk sources. threshold <= 0 selects
+// New returns an engine with no registered files. threshold <= 0 selects
 // DefaultThreshold.
-func New(threshold int, sources []Source, hooks Hooks) *Engine {
+func New(threshold int, hooks Hooks) *Engine {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
 	return &Engine{
 		threshold: threshold,
-		sources:   sources,
 		hooks:     hooks,
 		entries:   make(map[uint64]*entry),
 		marks:     make([]ClockState, hooks.NumCPUs),
@@ -814,11 +748,15 @@ func (e *Engine) Dispatch(cpu int, exc *[ExcWords]uint64) (uint64, Status) {
 }
 
 // tryReplay validates op's preconditions and, only if every one holds,
-// commits the recorded state delta. Validation is ordered cheap-first —
-// and, between chain variants of one cause, most-discriminating-first:
-// the tracked-file read set is where world-switch variants differ — and
-// mutates nothing, so a bailout leaves the machine untouched.
+// commits the recorded state delta: freads, predicates, clock gaps, and
+// probes are checked, then the moves and the fwrites land. Validation is
+// ordered cheap-first — and, between chain variants of one cause,
+// most-discriminating-first: the read set is where world-switch variants
+// differ — and mutates nothing, so a bailout leaves the machine untouched.
 func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
+	if e.hooks.Gen != nil && e.hooks.Gen() != op.gen {
+		return 0, false
+	}
 	for i := range op.freads {
 		g := &op.freads[i]
 		if *g.p != g.val {
@@ -864,21 +802,7 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 			op.tlbGen = gen
 		}
 	}
-	w := &e.w
-	*w = W{mode: modeMatch, data: op.guard, shapes: op.gshapes}
-	e.walk(w)
-	if w.failed || w.pos != len(op.guard) || w.spos != len(op.gshapes) {
-		return 0, false
-	}
-	// Commit: from here on divergence is a bug, not a bailout.
-	if !op.walkClean {
-		*w = W{mode: modeRestore, data: op.post, shapes: op.gshapes}
-		e.walk(w)
-		if w.pos != len(op.post) {
-			panic("jit: restore walk did not consume the recorded state vector")
-		}
-	}
-	// Parameter moves first, in program order: every move source was
+	// Commit. Parameter moves first, in program order: every move source was
 	// external (unwritten) when the interpreted copy read it, so it must be
 	// read before any constant write to it lands.
 	for i := range op.moves {
@@ -901,22 +825,14 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 	return op.retVal, true
 }
 
-func (e *Engine) walk(w *W) {
-	for _, s := range e.sources {
-		s.WalkJIT(w)
-		if w.failed {
-			return
-		}
-	}
-}
-
-// beginRecord starts capturing the in-flight trap: it snapshots the guard
-// vector, clocks, and trace counters, and arms the poison taps.
+// beginRecord starts capturing the in-flight trap: it snapshots the clocks,
+// the pinned generation, and the trace counters, and arms the poison taps.
+// Guards accumulate from the file taps as the handler runs.
 func (e *Engine) beginRecord(cpu int, exc *[ExcWords]uint64, ent *entry) {
 	// A sibling-shard mutation that fully preceded this recording is
 	// already reflected in the capture below; only mutations from here to
 	// EndRecord may poison, so the async flag starts clean. The gauge goes
-	// up first: a mutation racing with the capture walk still broadcasts.
+	// up first: a mutation racing with the first reads still broadcasts.
 	if e.recGauge != nil {
 		atomic.AddInt64(e.recGauge, 1)
 	}
@@ -929,16 +845,15 @@ func (e *Engine) beginRecord(cpu int, exc *[ExcWords]uint64, ent *entry) {
 	rec.preds = e.spreds[:0]
 	rec.pwords = e.spwords[:0]
 	rec.probes = e.sprobes[:0]
+	rec.transients = e.stransients[:0]
+	e.setQuiet(false)
 	for i := range e.rdSeen {
 		e.rdSeen[i] = [2]uint64{}
 		e.wrSeen[i] = [2]uint64{}
 	}
-	w := &e.w
-	*w = W{mode: modeCapture, data: e.preData[:0], shapes: e.preShapes[:0]}
-	e.walk(w)
-	e.preData, e.preShapes = w.data, w.shapes
-	rec.guard, rec.gshapes = w.data, w.shapes
-	rec.poisoned = w.failed
+	if e.hooks.Gen != nil {
+		rec.gen = e.hooks.Gen()
+	}
 	for i := 0; i < e.hooks.NumCPUs; i++ {
 		e.marks[i] = e.hooks.ClockState(i)
 	}
@@ -983,21 +898,16 @@ func (e *Engine) EndRecord(retVal uint64) {
 		rec.ent.poison++
 		return
 	}
-	w := &e.w
-	*w = W{mode: modeCapture, data: e.postData[:0], shapes: e.postShapes[:0]}
-	e.walk(w)
-	e.postData, e.postShapes = w.data, w.shapes
-	if w.failed || len(w.shapes) != len(rec.gshapes) {
+	if e.hooks.Gen != nil && e.hooks.Gen() != rec.gen {
 		rec.ent.poison++
 		return
 	}
-	for i := range w.shapes {
-		if w.shapes[i] != rec.gshapes[i] {
+	for _, t := range rec.transients {
+		if e.files[t.F-1][t.Idx] != 0 {
 			rec.ent.poison++
 			return
 		}
 	}
-	post := w.data
 	var clocks []ClockDelta
 	for i := 0; i < e.hooks.NumCPUs; i++ {
 		now := e.hooks.ClockState(i)
@@ -1064,9 +974,7 @@ func (e *Engine) EndRecord(retVal uint64) {
 	}
 	op := &superOp{
 		exc:     rec.exc,
-		guard:   append([]uint64(nil), rec.guard...),
-		gshapes: append([]uint64(nil), rec.gshapes...),
-		post:    append([]uint64(nil), post...),
+		gen:     rec.gen,
 		freads:  freads,
 		fwrites: fwrites,
 		moves:   moves,
@@ -1087,13 +995,6 @@ func (e *Engine) EndRecord(retVal uint64) {
 		// the generation now is the one its probes were valid under.
 		op.tlbGen = e.hooks.TLBGen()
 	}
-	op.walkClean = len(post) == len(rec.guard)
-	for i := range post {
-		if post[i] != rec.guard[i] {
-			op.walkClean = false
-			break
-		}
-	}
 	if !td.Empty() {
 		op.tdelta = td
 	}
@@ -1106,9 +1007,12 @@ func (e *Engine) EndRecord(retVal uint64) {
 }
 
 // reclaimScratch hands a finished recording's list storage back to the
-// engine for the next recording.
+// engine for the next recording, and silences every read tap until the
+// next recording begins.
 func (e *Engine) reclaimScratch(rec *recording) {
+	e.setQuiet(true)
 	e.sfreads, e.sfwrites, e.sprobes = rec.freads[:0], rec.fwrites[:0], rec.probes[:0]
+	e.stransients = rec.transients[:0]
 	e.sparams, e.smoves, e.spreds, e.spwords = rec.params[:0], rec.moves[:0], rec.preds[:0], rec.pwords[:0]
 }
 
@@ -1152,7 +1056,7 @@ func (e *Engine) AbortRecord() {
 }
 
 // Poison marks the active recording non-promotable; the poison taps and
-// subsystems call it when state outside the walk is touched.
+// subsystems call it when state outside the tracked files is touched.
 func (e *Engine) Poison() {
 	if e.rec != nil {
 		e.rec.poisoned = true
@@ -1162,7 +1066,7 @@ func (e *Engine) Poison() {
 // PoisonAsync marks any in-flight recording non-promotable from another
 // goroutine. Unlike Poison it only sets an atomic flag — the owning
 // goroutine consumes it in EndRecord — so sibling vCPU shards can
-// broadcast "I touched state outside your walk" without a data race on
+// broadcast "I touched state outside your files" without a data race on
 // the recording itself. Safe to call at any time; a set flag with no
 // recording in flight is cleared by the next beginRecord.
 func (e *Engine) PoisonAsync() { e.asyncPoison.Store(true) }
@@ -1276,16 +1180,13 @@ func (e *Engine) evictSuperseded(ent *entry, op *superOp) {
 }
 
 // supersedes reports whether parameterized variant op covers plain variant
-// v: identical recorded behavior (walk guard, post state, writes, clocks,
+// v: identical recorded behavior (pinned generation, writes, clocks,
 // probes, counters, return value), with v's extra value guards falling only
 // on words op treats as parameters. Every state v would replay in, op
 // replays in too — op's predicates re-validate exactly the conditions v's
 // stale value guards once pinned.
 func supersedes(op, v *superOp) bool {
-	if len(v.moves) != 0 || len(v.preds) != 0 || v.exc != op.exc || v.retVal != op.retVal {
-		return false
-	}
-	if !slices.Equal(v.guard, op.guard) || !slices.Equal(v.gshapes, op.gshapes) || !slices.Equal(v.post, op.post) {
+	if len(v.moves) != 0 || len(v.preds) != 0 || v.exc != op.exc || v.retVal != op.retVal || v.gen != op.gen {
 		return false
 	}
 	if !slices.Equal(v.clocks, op.clocks) || !slices.Equal(v.probes, op.probes) {

@@ -6,12 +6,12 @@ import (
 	"github.com/nevesim/neve/internal/trace"
 )
 
-// fakeMachine is the smallest machine the engine can accelerate: a few
-// walked words, one shape word, a register file under read/write-set
-// tracking, a one-core clock, and a TLB of canned translations.
+// fakeMachine is the smallest machine the engine can accelerate: a small
+// state file and a register file under read/write-set tracking, a pinned
+// generation, a one-core clock, and a TLB of canned translations.
 type fakeMachine struct {
 	words [3]uint64
-	shape uint64
+	gen   uint64
 
 	file    [16]uint64
 	clock   ClockState
@@ -22,14 +22,23 @@ type fakeMachine struct {
 	probeCalls int
 	gapCalls   int
 
-	col *trace.Collector
-	eng *Engine
-	tap *FileTap
+	col  *trace.Collector
+	eng  *Engine
+	tap  *FileTap
+	wtap *FileTap
 }
 
-func (m *fakeMachine) WalkJIT(w *W) {
-	w.Shape(m.shape)
-	w.Words(m.words[:])
+// word and set are the state file's accessors, as a model's would be:
+// every access notifies the tap. Tests set words directly to model state
+// changing between dispatches.
+func (m *fakeMachine) word(i int) uint64 {
+	m.wtap.Read(i)
+	return m.words[i]
+}
+
+func (m *fakeMachine) set(i int, v uint64) {
+	m.wtap.Write(i)
+	m.words[i] = v
 }
 
 // opts tweak the hook set a test engine is built with.
@@ -63,6 +72,7 @@ func newFake(t *testing.T, threshold int, o fakeOpts) *fakeMachine {
 		},
 		TLBAddHits: func(n uint64) { m.tlbHits += n },
 		Trace:      m.col,
+		Gen:        func() uint64 { return m.gen },
 	}
 	if !o.noTLBGen {
 		hooks.TLBGen = func() uint64 { return m.tlbGen }
@@ -73,8 +83,9 @@ func newFake(t *testing.T, threshold int, o fakeOpts) *fakeMachine {
 			return m.clock.Cycles - m.clock.LastAttributed
 		}
 	}
-	m.eng = New(threshold, []Source{m}, hooks)
+	m.eng = New(threshold, hooks)
 	m.tap = m.eng.Tap(m.eng.RegisterFile(m.file[:]))
+	m.wtap = m.eng.Tap(m.eng.RegisterFile(m.words[:]))
 	return m
 }
 
@@ -106,7 +117,7 @@ func wantStats(t *testing.T, e *Engine, hits, misses, bails uint64) {
 func TestPromotionThreshold(t *testing.T) {
 	m := newFake(t, 3, fakeOpts{})
 	handler := func() uint64 {
-		m.words[1] = 42
+		m.set(1, 42)
 		m.clock.Cycles += 100
 		return 7
 	}
@@ -132,17 +143,20 @@ func TestPromotionThreshold(t *testing.T) {
 	wantStats(t, m.eng, 1, 3, 0)
 }
 
-// TestGuardMismatchBails pins bailout semantics: walked state that differs
-// from the recording's precondition runs the trap interpreted, and the
-// divergent state is promoted as a second chain variant that then hits.
+// TestGuardMismatchBails pins bailout semantics: a read-set word that
+// differs from the recording's precondition runs the trap interpreted, and
+// the divergent state is promoted as a second chain variant that then hits.
 func TestGuardMismatchBails(t *testing.T) {
 	m := newFake(t, 1, fakeOpts{})
-	handler := func() uint64 { return 1 }
+	handler := func() uint64 {
+		m.word(2)
+		return 1
+	}
 	m.trap(2, handler) // Record
 	if _, st := m.trap(2, handler); st != Hit {
 		t.Fatalf("baseline replay did not hit")
 	}
-	m.words[2] = 0xbeef // outside anything the handler touches
+	m.words[2] = 0xbeef // read but not branched on: still a guard
 	if _, st := m.trap(2, handler); st != Record {
 		t.Fatalf("guard mismatch did not fall back to recording")
 	}
@@ -159,12 +173,12 @@ func TestGuardMismatchBails(t *testing.T) {
 	}
 }
 
-// TestRestoreDelta pins the restore walk: a super-op whose sequence
-// changed walked state writes the recorded post-state back on replay.
+// TestRestoreDelta pins the write set: a super-op whose sequence changed
+// a tracked word writes the recorded post-state back on replay.
 func TestRestoreDelta(t *testing.T) {
 	m := newFake(t, 1, fakeOpts{})
 	handler := func() uint64 {
-		m.words[0] = 77
+		m.set(0, 77)
 		return 0
 	}
 	m.words[0] = 3
@@ -414,7 +428,10 @@ func TestQuiesceAndReset(t *testing.T) {
 // TestStatsExclusive: exactly one stats field increments per dispatch.
 func TestStatsExclusive(t *testing.T) {
 	m := newFake(t, 2, fakeOpts{})
-	handler := func() uint64 { return 0 }
+	handler := func() uint64 {
+		m.word(2)
+		return 0
+	}
 	dispatches := uint64(0)
 	for i := 0; i < 5; i++ {
 		m.trap(15, handler)
@@ -430,9 +447,9 @@ func TestStatsExclusive(t *testing.T) {
 }
 
 // TestReplayHitNoAlloc is the 0-alloc gate on the replay hit path: a
-// dispatch that replays a super-op — including a restore walk, tracked
-// file writes, TLB hit back-fill, clock advance, and a counter delta —
-// performs no heap allocation.
+// dispatch that replays a super-op — including tracked file writes in two
+// files, TLB hit back-fill, clock advance, and a counter delta — performs
+// no heap allocation.
 func TestReplayHitNoAlloc(t *testing.T) {
 	m := newFake(t, 1, fakeOpts{})
 	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
@@ -444,7 +461,7 @@ func TestReplayHitNoAlloc(t *testing.T) {
 		p := m.tlb[0x1000]
 		m.eng.LogProbe(1, 0x1000, p.PA, p.Perm, true)
 		m.col.Trap(trace.Event{Reason: trace.ReasonHVC, Aux: 3})
-		m.words[0] = 77
+		m.set(0, 77)
 		m.clock.Cycles += 50
 		return 5
 	}
@@ -746,20 +763,19 @@ func TestParamReplayNoAlloc(t *testing.T) {
 // hit when generations force revalidation.
 func TestMoveToFront(t *testing.T) {
 	m := newFake(t, 1, fakeOpts{noTLBGen: true})
-	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
 	handler := func() uint64 {
 		p := m.tlb[0x1000]
 		m.eng.LogProbe(1, 0x1000, p.PA, p.Perm, true)
 		return 0
 	}
-	m.words[0] = 1
+	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
 	m.trap(17, handler) // variant A
-	m.words[0] = 2
+	m.tlb[0x1000] = Probe{PA: 0x3000, Perm: 3}
 	m.trap(17, handler) // variant B (chain front after promotion)
 	if _, st := m.trap(17, handler); st != Hit {
 		t.Fatalf("variant B did not hit")
 	}
-	m.words[0] = 1
+	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
 	if _, st := m.trap(17, handler); st != Hit {
 		t.Fatalf("variant A did not hit")
 	}
@@ -772,5 +788,120 @@ func TestMoveToFront(t *testing.T) {
 	}
 	if m.probeCalls-calls != 1 {
 		t.Fatalf("front variant dispatch probed %d times, want 1", m.probeCalls-calls)
+	}
+}
+
+// TestUnreadWordChangeStillHits pins the read-set guard: a tracked word
+// the recording never read may hold any value at replay time, and the
+// super-op still hits without writing it.
+func TestUnreadWordChangeStillHits(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	handler := func() uint64 {
+		m.set(1, m.word(0)+1)
+		return 0
+	}
+	m.trap(18, handler) // Record: reads word 0, writes word 1
+	m.words[2] = 0xfeed
+	m.file[7] = 0xbeef
+	if _, st := m.trap(18, handler); st != Hit {
+		t.Fatalf("a change to unread words broke the guard")
+	}
+	if m.words[2] != 0xfeed || m.file[7] != 0xbeef {
+		t.Fatalf("replay wrote words outside its write set")
+	}
+	m.words[0] = 5 // a read word: bails
+	if _, st := m.trap(18, handler); st == Hit {
+		t.Fatalf("replay hit over a changed read-set word")
+	}
+}
+
+// TestReadOnlyFile pins read-only registration (the SMP shard view of a
+// machine-shared file): a read guards like any tracked read, a write
+// poisons the recording, and so does a copy into the file.
+func TestReadOnlyFile(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	var shared [4]uint64
+	ro := m.eng.TapFor(shared[:], true)
+	if again := m.eng.TapFor(shared[:], true); again.id != ro.id {
+		t.Fatalf("TapFor re-registered a known file")
+	}
+	read := func() uint64 {
+		ro.Read(1)
+		return shared[1]
+	}
+	shared[1] = 9
+	m.trap(19, read)
+	if _, st := m.trap(19, read); st != Hit {
+		t.Fatalf("read of a read-only file did not replay")
+	}
+	shared[1] = 10
+	if _, st := m.trap(19, read); st == Hit {
+		t.Fatalf("read-only guard did not hold")
+	}
+	write := func() uint64 {
+		ro.Write(2)
+		shared[2] = 1
+		return 0
+	}
+	m.trap(20, write)
+	copyIn := func() uint64 {
+		CopyWord(m.tap, 3, ro, 3)
+		shared[3] = m.file[3]
+		return 0
+	}
+	m.trap(21, copyIn)
+	var ew [ExcWords]uint64
+	for _, exc := range []uint64{20, 21} {
+		ew[0] = exc
+		if _, st := m.eng.Dispatch(0, &ew); st == Hit {
+			t.Fatalf("cause %d: a write into a read-only file was promoted", exc)
+		}
+		m.eng.AbortRecord()
+	}
+}
+
+// TestGenPinned pins Hooks.Gen: every super-op replays only under the
+// generation it was recorded under, and a recording across a generation
+// change poisons.
+func TestGenPinned(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	handler := func() uint64 { return 0 }
+	m.trap(22, handler)
+	m.gen++
+	if _, st := m.trap(22, handler); st == Hit {
+		t.Fatalf("replay hit under a moved generation")
+	}
+	bump := func() uint64 {
+		m.gen++
+		return 0
+	}
+	m.trap(23, bump)
+	if _, ops := m.eng.Entries(); ops != 2 {
+		t.Fatalf("%d ops, want the recording across a bump not promoted", ops)
+	}
+}
+
+// TestTransientWord pins Transient: a flag word raised during a recording
+// must be back at zero when the recording ends, or it poisons.
+func TestTransientWord(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	raise := func(clear bool) func() uint64 {
+		return func() uint64 {
+			m.set(2, 1)
+			m.wtap.Transient(2)
+			if clear {
+				m.set(2, 0)
+			}
+			return 0
+		}
+	}
+	m.trap(24, raise(false))
+	if _, ops := m.eng.Entries(); ops != 0 {
+		t.Fatalf("recording ending with a raised transient was promoted")
+	}
+	m.words[2] = 0
+	m.trap(25, raise(true))
+	if _, ops := m.eng.Entries(); ops != 1 {
+		t.Fatalf("recording that cleared its transient was not promoted")
 	}
 }

@@ -28,54 +28,49 @@ type StackCheckpoint struct {
 }
 
 type hypCheckpoint struct {
-	hostCtxs   []Context
-	loaded     []loadedCtx
-	pendingFwd []*fwd
-	hasGuest   bool // guestMem allocator existed
-	guestNext  mem.Addr
-	nextVMID   uint16
-	vms        []vmCheckpoint
+	hostCtxs []regFile
+	slots    []slotCheckpoint
+	st       [hypWords]uint64
+	vms      []vmCheckpoint
+}
+
+// regFile is a saved Context's register values (its JIT tap is wiring,
+// not state).
+type regFile = [arm.NumSysRegs]uint64
+
+// slotCheckpoint and vcpuCheckpoint keep a flagged payload (fwd, entry)
+// only while its flag word is set: a cleared payload is dead state.
+type slotCheckpoint struct {
+	st  [slotWords]uint64
+	fwd fwd
 }
 
 type vmCheckpoint struct {
+	st           [vmWords]uint64
 	s2           *mmu.TablesCheckpoint
 	vmid         uint16
-	virtio       *virtioCheckpoint
+	echo         *virtio.EchoCheckpoint
 	gicShadowOwn mem.Addr
-	gicShadow    mem.Addr
 	vcpus        []vcpuCheckpoint
 }
 
-type virtioCheckpoint struct {
-	queuePFN  uint64
-	queueNum  uint64
-	status    uint64
-	intStatus uint32
-	echo      *virtio.EchoCheckpoint
-}
-
 type vcpuCheckpoint struct {
-	el1          Context
-	vel2         Context
-	virtEL1      Context
-	pageCtx      Context
-	inVEL2       bool
-	pendingVIRQ  []int
-	pendingEntry *arm.Exception
-	shadowS2     *mmu.TablesCheckpoint
-	dirtyLRs     int
-	x0           uint64
-	online       bool
-	guest        *guestCheckpoint
+	el1       regFile
+	vel2      regFile
+	virtEL1   regFile
+	pageCtx   regFile
+	st        [vcpuWords]uint64
+	virqSpill []int
+	entry     arm.Exception
+	shadowS2  *mmu.TablesCheckpoint
+	guest     *guestCheckpoint
 }
 
 type guestCheckpoint struct {
 	irqHandler func(intid int)
 	irqCount   uint64
 	s1         *mmu.TablesCheckpoint
-	s1Next     mem.Addr
 	vq         *virtio.DriverCheckpoint
-	vqBase     mem.Addr
 }
 
 // hyps returns the stack's hypervisor levels in fixed order.
@@ -106,73 +101,61 @@ func (s *Stack) Checkpoint() *StackCheckpoint {
 
 func checkpointHyp(h *Hypervisor) hypCheckpoint {
 	cp := hypCheckpoint{
-		hostCtxs:   append([]Context(nil), h.hostCtxs...),
-		loaded:     append([]loadedCtx(nil), h.loaded...),
-		pendingFwd: make([]*fwd, len(h.pendingFwd)),
-		nextVMID:   h.nextVMID,
+		hostCtxs: make([]regFile, len(h.hostCtxs)),
+		slots:    make([]slotCheckpoint, len(h.loaded)),
+		st:       h.st,
+		vms:      make([]vmCheckpoint, len(h.VMs)),
 	}
-	for i, f := range h.pendingFwd {
-		if f != nil {
-			c := *f
-			cp.pendingFwd[i] = &c
+	for i := range h.hostCtxs {
+		cp.hostCtxs[i] = h.hostCtxs[i].regs
+	}
+	for i := range h.loaded {
+		lc := &h.loaded[i]
+		cp.slots[i].st = lc.st
+		if lc.st[slotFwd] != 0 {
+			cp.slots[i].fwd = lc.fwd
 		}
 	}
-	if h.guestMem != nil {
-		cp.hasGuest = true
-		cp.guestNext = h.guestMem.next
-	}
-	for _, vm := range h.VMs {
-		cp.vms = append(cp.vms, checkpointVM(vm))
+	for i, vm := range h.VMs {
+		cp.vms[i] = checkpointVM(vm)
 	}
 	return cp
 }
 
 func checkpointVM(vm *VM) vmCheckpoint {
 	cp := vmCheckpoint{
+		st:           vm.st,
 		vmid:         vm.vmid,
 		gicShadowOwn: vm.gicShadowOwn,
-		gicShadow:    vm.gicShadow,
 	}
 	if vm.s2 != nil {
 		t := vm.s2.Checkpoint()
 		cp.s2 = &t
 	}
-	if vm.virtio != nil {
-		vcp := &virtioCheckpoint{
-			queuePFN:  vm.virtio.queuePFN,
-			queueNum:  vm.virtio.queueNum,
-			status:    vm.virtio.status,
-			intStatus: vm.virtio.intStatus,
-		}
-		if vm.virtio.echo != nil {
-			e := vm.virtio.echo.Checkpoint()
-			vcp.echo = &e
-		}
-		cp.virtio = vcp
+	if vm.echo != nil {
+		e := vm.echo.Checkpoint()
+		cp.echo = &e
 	}
-	for _, v := range vm.VCPUs {
-		cp.vcpus = append(cp.vcpus, checkpointVCPU(v))
+	cp.vcpus = make([]vcpuCheckpoint, len(vm.VCPUs))
+	for i, v := range vm.VCPUs {
+		cp.vcpus[i] = checkpointVCPU(v)
 	}
 	return cp
 }
 
 func checkpointVCPU(v *VCPU) vcpuCheckpoint {
 	cp := vcpuCheckpoint{
-		el1:      v.EL1,
-		vel2:     v.VEL2,
-		virtEL1:  v.VirtEL1,
-		pageCtx:  v.PageCtx,
-		inVEL2:   v.InVEL2,
-		dirtyLRs: v.dirtyLRs,
-		x0:       v.x0,
-		online:   v.Online,
+		el1:     v.EL1.regs,
+		vel2:    v.VEL2.regs,
+		virtEL1: v.VirtEL1.regs,
+		pageCtx: v.PageCtx.regs,
+		st:      v.st,
 	}
-	if len(v.pendingVIRQ) > 0 {
-		cp.pendingVIRQ = append([]int(nil), v.pendingVIRQ...)
+	if v.st[vcEntry] != 0 {
+		cp.entry = v.entry
 	}
-	if v.pendingEntry != nil {
-		e := *v.pendingEntry
-		cp.pendingEntry = &e
+	if len(v.virqSpill) > 0 {
+		cp.virqSpill = append([]int(nil), v.virqSpill...)
 	}
 	if v.shadowS2 != nil {
 		t := v.shadowS2.Checkpoint()
@@ -184,12 +167,10 @@ func checkpointVCPU(v *VCPU) vcpuCheckpoint {
 		if g.s1 != nil {
 			t := g.s1.Checkpoint()
 			gcp.s1 = &t
-			gcp.s1Next = g.s1.Mem.(*stage1Backing).next
 		}
 		if g.vq != nil {
 			d := g.vq.Checkpoint()
 			gcp.vq = &d
-			gcp.vqBase = g.vq.Ring.Base
 		}
 		cp.guest = gcp
 	}
@@ -240,25 +221,14 @@ func (s *Stack) Restore(cp *StackCheckpoint) {
 }
 
 func restoreHyp(h *Hypervisor, cp *hypCheckpoint) {
-	copy(h.hostCtxs, cp.hostCtxs)
-	copy(h.loaded, cp.loaded)
-	for i := range h.pendingFwd {
-		if i >= len(cp.pendingFwd) || cp.pendingFwd[i] == nil {
-			h.pendingFwd[i] = nil
-			continue
-		}
-		f := *cp.pendingFwd[i]
-		h.pendingFwd[i] = &f
+	for i := range h.hostCtxs {
+		h.hostCtxs[i].regs = cp.hostCtxs[i]
 	}
-	switch {
-	case !cp.hasGuest:
-		h.guestMem = nil
-	case h.guestMem == nil:
-		h.guestMem = &guestBacking{h: h, next: cp.guestNext}
-	default:
-		h.guestMem.next = cp.guestNext
+	for i := range h.loaded {
+		h.loaded[i].st = cp.slots[i].st
+		h.loaded[i].fwd = cp.slots[i].fwd
 	}
-	h.nextVMID = cp.nextVMID
+	h.st = cp.st
 	if len(h.VMs) != len(cp.vms) {
 		panic(fmt.Sprintf("kvm[%s]: restore across VM topologies (%d VMs vs %d)", h.Cfg.Name, len(h.VMs), len(cp.vms)))
 	}
@@ -268,9 +238,9 @@ func restoreHyp(h *Hypervisor, cp *hypCheckpoint) {
 }
 
 func restoreVM(vm *VM, cp *vmCheckpoint) {
+	vm.st = cp.st
 	vm.vmid = cp.vmid
 	vm.gicShadowOwn = cp.gicShadowOwn
-	vm.gicShadow = cp.gicShadow
 	switch {
 	case cp.s2 == nil:
 		vm.s2 = nil
@@ -280,29 +250,18 @@ func restoreVM(vm *VM, cp *vmCheckpoint) {
 	default:
 		vm.s2.Restore(*cp.s2)
 	}
-	if cp.virtio == nil {
-		vm.virtio = nil
-	} else {
-		if vm.virtio == nil {
-			vm.virtio = &vmVirtio{}
+	switch {
+	case cp.echo == nil:
+		vm.echo = nil
+	default:
+		if vm.echo == nil {
+			// The ring Memory view is per-trap wiring: the kick path
+			// installs a fresh hypRingMem before every drain.
+			vm.echo = &virtio.Echo{Ring: virtio.Ring{
+				Base: mem.Addr(cp.st[vmQueuePFN] << mem.PageShift),
+			}}
 		}
-		dev := vm.virtio
-		dev.queuePFN = cp.virtio.queuePFN
-		dev.queueNum = cp.virtio.queueNum
-		dev.status = cp.virtio.status
-		dev.intStatus = cp.virtio.intStatus
-		if cp.virtio.echo == nil {
-			dev.echo = nil
-		} else {
-			if dev.echo == nil {
-				// The ring Memory view is per-trap wiring: the kick path
-				// installs a fresh hypRingMem before every drain.
-				dev.echo = &virtio.Echo{Ring: virtio.Ring{
-					Base: mem.Addr(cp.virtio.queuePFN << mem.PageShift),
-				}}
-			}
-			dev.echo.Restore(*cp.virtio.echo)
-		}
+		vm.echo.Restore(*cp.echo)
 	}
 	for i, v := range vm.VCPUs {
 		restoreVCPU(v, &cp.vcpus[i])
@@ -310,18 +269,13 @@ func restoreVM(vm *VM, cp *vmCheckpoint) {
 }
 
 func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
-	v.EL1 = cp.el1
-	v.VEL2 = cp.vel2
-	v.VirtEL1 = cp.virtEL1
-	v.PageCtx = cp.pageCtx
-	v.InVEL2 = cp.inVEL2
-	v.pendingVIRQ = append(v.pendingVIRQ[:0], cp.pendingVIRQ...)
-	if cp.pendingEntry == nil {
-		v.pendingEntry = nil
-	} else {
-		e := *cp.pendingEntry
-		v.pendingEntry = &e
-	}
+	v.EL1.regs = cp.el1
+	v.VEL2.regs = cp.vel2
+	v.VirtEL1.regs = cp.virtEL1
+	v.PageCtx.regs = cp.pageCtx
+	v.st = cp.st
+	v.virqSpill = append(v.virqSpill[:0], cp.virqSpill...)
+	v.entry = cp.entry
 	switch {
 	case cp.shadowS2 == nil:
 		v.shadowS2 = nil
@@ -331,9 +285,6 @@ func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
 	default:
 		v.shadowS2.Restore(*cp.shadowS2)
 	}
-	v.dirtyLRs = cp.dirtyLRs
-	v.x0 = cp.x0
-	v.Online = cp.online
 	if cp.guest == nil {
 		v.Guest = nil
 		return
@@ -350,16 +301,16 @@ func restoreVCPU(v *VCPU, cp *vcpuCheckpoint) {
 		if g.s1 == nil {
 			g.s1 = &mmu.Tables{Mem: &stage1Backing{g: g}}
 		}
-		g.s1.Mem.(*stage1Backing).next = cp.guest.s1Next
 		g.s1.Restore(*cp.guest.s1)
 	}
 	if cp.guest.vq == nil {
 		g.vq = nil
 	} else {
+		base := mem.Addr(v.st[vcRingBase])
 		if g.vq == nil {
-			g.vq = &virtio.Driver{Ring: virtio.Ring{Mem: guestRingMem{g}, Base: cp.guest.vqBase}}
+			g.vq = &virtio.Driver{Ring: virtio.Ring{Mem: guestRingMem{g}, Base: base}}
 		}
-		g.vq.Ring.Base = cp.guest.vqBase
+		g.vq.Ring.Base = base
 		g.vq.Restore(*cp.guest.vq)
 	}
 }

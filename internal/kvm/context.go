@@ -21,10 +21,10 @@ import (
 type Context struct {
 	regs [arm.NumSysRegs]uint64
 	// jt reports reads and writes to an installed trace-JIT engine so a
-	// recording guards only the context words it consumed instead of
-	// walking the whole file (nil, and free to check, until
-	// Stack.InstallJIT registers the file). Every access path to regs —
-	// Get, Set, and the batched sequences over file() — notifies it.
+	// recording guards only the context words it consumed (nil, and free
+	// to check, until Stack.InstallJIT registers the file). Every access
+	// path to regs — Get, Set, and the batched sequences over file() —
+	// notifies it.
 	jt *jit.FileTap
 }
 

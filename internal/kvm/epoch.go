@@ -335,7 +335,7 @@ func (s *Stack) parallelSafe(n int) bool {
 //   - machine memory switches to concurrent mode (drops the last-page
 //     cache, a pure performance shortcut);
 //   - when the stack has a JIT, each running CPU switches from the
-//     whole-stack engine (whose walk and chain state span all cores) to
+//     whole-stack engine (whose files and chain state span all cores) to
 //     its persistent per-vCPU shard engine — see jitshard.go;
 //   - a nested stack's L1 VM Stage-2, otherwise built lazily by the
 //     first exit forwarded to the guest hypervisor, is built now, so no
@@ -343,7 +343,7 @@ func (s *Stack) parallelSafe(n int) bool {
 func (s *Stack) smpSetup(n int) func() {
 	m := s.M
 	if s.GuestHyp != nil {
-		s.Host.vmVTTBR(s.VM)
+		s.Host.vmVTTBR(m.CPUs[0], s.VM)
 	}
 	parent := m.Trace
 	shards := make([]*trace.Collector, n)

@@ -25,7 +25,7 @@ type fwd struct {
 // operations trap or defer.
 func (h *Hypervisor) handleExit(c *arm.CPU, e *arm.Exception) uint64 {
 	lc := h.cur(c)
-	v := lc.vcpu
+	v := lc.vcpu()
 	if v == nil {
 		panic(fmt.Sprintf("kvm[%s]: exit %s with no vcpu loaded on cpu%d", h.Cfg.Name, e.EC, c.ID))
 	}
@@ -34,27 +34,30 @@ func (h *Hypervisor) handleExit(c *arm.CPU, e *arm.Exception) uint64 {
 	c.Work(workHostKernel)
 	ret := h.dispatch(c, lc, e)
 	h.hvcToSelfHyp(c)
-	h.guestEnterSeq(c, lc.vcpu, lc.mode)
+	h.guestEnterSeq(c, lc.vcpu(), lc.mode())
 	h.setGuestEnv(c, lc)
-	if f := h.pendingFwd[c.ID]; f != nil {
-		h.pendingFwd[c.ID] = nil
+	if pf := lc.pendingFwd(); pf != nil {
+		// Copy the payload out: the slot may queue another forward before
+		// this one is done with it.
+		f := *pf
+		lc.setPendingFwd(nil)
 		if !h.IsHost() {
 			// A deprivileged hypervisor cannot enter its guest itself: it
 			// records the pending virtual vector entry and erets; the host
 			// invokes the entry when it loads the context (recursive
 			// virtualization, Section 6.2). By the time the eret returns
 			// here, the child has run and produced its result.
-			v.pendingEntry = &f.exc
+			v.setPendingEntry(&f.exc)
 			h.eretToGuest(c)
-			v.x0 = f.child.cur(c).vcpu.x0
-			return v.x0
+			v.setX0(f.child.cur(c).vcpu().x0())
+			return v.x0()
 		}
 		c.RunGuest(f.level, func() {
 			f.child.VectorEntry(c, &f.exc)
 		})
 		// The child handled the exit and entered its own guest; MMIO
 		// values it produced travel back through the virtual x0.
-		return f.child.cur(c).vcpu.x0
+		return f.child.cur(c).vcpu().x0()
 	}
 	h.eretToGuest(c)
 	return ret
@@ -84,20 +87,21 @@ func (h *Hypervisor) setGuestEnv(c *arm.CPU, lc *loadedCtx) {
 	if !h.IsHost() {
 		return
 	}
-	switch lc.mode {
+	switch lc.mode() {
 	case modeGuestOS:
 		c.SetGuestLevel(h.Level + 1)
-		c.VIRQ = lc.vcpu.Guest
+		c.SetVIRQ(lc.vcpu().Guest)
 	case modeNested:
-		sink, level := h.leafGuest(lc.vcpu)
+		sink, level := h.leafGuest(lc.vcpu())
 		c.SetGuestLevel(level)
-		c.VIRQ = nil
 		if sink != nil {
-			c.VIRQ = sink
+			c.SetVIRQ(sink)
+		} else {
+			c.SetVIRQ(nil)
 		}
 	case modeVEL2, modeVEL1Host:
 		c.SetGuestLevel(h.Level + 1)
-		c.VIRQ = nil // the guest hypervisor takes interrupts via its vector
+		c.SetVIRQ(nil) // the guest hypervisor takes interrupts via its vector
 	}
 }
 
@@ -131,7 +135,7 @@ func (h *Hypervisor) leafGuest(v *VCPU) (*GuestCtx, arm.VLevel) {
 // loaded context's mode (nested entry, vEL2 transfer) or queue a forward
 // into the guest hypervisor.
 func (h *Hypervisor) dispatch(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	switch lc.mode {
+	switch lc.mode() {
 	case modeGuestOS:
 		return h.dispatchGuestExit(c, lc, e)
 	case modeNested:
@@ -149,7 +153,7 @@ func (h *Hypervisor) dispatch(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint6
 // hypervisor a VM, for a guest hypervisor its nested VM (the code is the
 // same; only the routing of its privileged operations differs).
 func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	v := lc.vcpu
+	v := lc.vcpu()
 	switch e.EC {
 	case arm.ECHVC64:
 		if val, ok := h.handlePSCI(c, lc, e.Imm); ok {
@@ -161,13 +165,13 @@ func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc *loadedCtx, e *arm.Excepti
 		if e.FaultIPA >= VirtioBase && uint64(e.FaultIPA-VirtioBase) < VirtioSize {
 			if uint64(e.FaultIPA-VirtioBase) >= VirtioRegOff && uint64(e.FaultIPA-VirtioBase) < VirtioRegOff+0x100 {
 				// The virtio-mmio register block of the real echo device.
-				v.x0 = h.virtioMMIO(c, v, e)
-				return v.x0
+				v.setX0(h.virtioMMIO(c, v, e))
+				return v.x0()
 			}
 			// Generic emulated device (the Device I/O microbenchmark).
 			c.Work(workDeviceEmu)
-			v.x0 = uint64(e.FaultIPA) ^ 0xd1ce
-			return v.x0
+			v.setX0(uint64(e.FaultIPA) ^ 0xd1ce)
+			return v.x0()
 		}
 		if h.isConsole(e.FaultIPA) {
 			return h.emulateConsole(c, e)
@@ -200,13 +204,13 @@ func (h *Hypervisor) dispatchGuestExit(c *arm.CPU, lc *loadedCtx, e *arm.Excepti
 // the host hypervisor serves shadow Stage-2 faults itself and forwards
 // everything the guest hypervisor must see (Section 4).
 func (h *Hypervisor) dispatchNestedExit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	v := lc.vcpu
+	v := lc.vcpu()
 	switch e.EC {
 	case arm.ECDAbtLow:
 		if e.FaultIPA < VirtioBase || uint64(e.FaultIPA-VirtioBase) >= VirtioSize {
 			if h.fixShadowS2Fault(c, v, e) {
-				v.x0 = h.replay(c, v, e)
-				return v.x0
+				v.setX0(h.replay(c, v, e))
+				return v.x0()
 			}
 		}
 		// Let the guest hypervisor handle it (device emulation or its own
@@ -230,7 +234,7 @@ func (h *Hypervisor) dispatchNestedExit(c *arm.CPU, lc *loadedCtx, e *arm.Except
 // dispatchVEL2Exit handles traps from the deprivileged guest hypervisor:
 // the ARMv8.3 trap-and-emulate path (and the residual traps under NEVE).
 func (h *Hypervisor) dispatchVEL2Exit(c *arm.CPU, lc *loadedCtx, e *arm.Exception) uint64 {
-	v := lc.vcpu
+	v := lc.vcpu()
 	switch e.EC {
 	case arm.ECSysReg:
 		if e.Reg == arm.ICC_SGI1R_EL1 && e.Write {
@@ -283,7 +287,7 @@ func (h *Hypervisor) dispatchVEL1HostExit(c *arm.CPU, lc *loadedCtx, e *arm.Exce
 		if e.Reg == arm.ICC_SGI1R_EL1 && e.Write {
 			// The guest hypervisor's host kernel kicks another CPU
 			// (smp_send_reschedule): an SGI within its VM.
-			h.vgicSendSGI(c, lc.vcpu.VM, int(e.Val>>16&0xff), int(e.Val&0xf))
+			h.vgicSendSGI(c, lc.vcpu().VM, int(e.Val>>16&0xff), int(e.Val&0xf))
 			return 0
 		}
 		panic(fmt.Sprintf("kvm[%s]: unhandled vEL1-host sysreg %s", h.Cfg.Name, e.Reg))
@@ -294,8 +298,8 @@ func (h *Hypervisor) dispatchVEL1HostExit(c *arm.CPU, lc *loadedCtx, e *arm.Exce
 		if h.isConsole(e.FaultIPA) {
 			return h.emulateConsole(c, e)
 		}
-		if h.fixVMS2Fault(c, lc.vcpu, e) {
-			return h.replay(c, lc.vcpu, e)
+		if h.fixVMS2Fault(c, lc.vcpu(), e) {
+			return h.replay(c, lc.vcpu(), e)
 		}
 		panic(fmt.Sprintf("kvm[%s]: unhandled vEL1-host stage-2 fault at %#x", h.Cfg.Name, uint64(e.FaultIPA)))
 	case arm.ECVirtIRQ:
@@ -321,11 +325,12 @@ func (h *Hypervisor) emulateVEL2SysReg(c *arm.CPU, v *VCPU, e *arm.Exception) ui
 		return store.Get(r)
 	}
 	store.Set(r, e.Val)
-	if h.Cfg.GICv2 && v.VM.gicShadow != 0 {
-		// Keep the read-only GICH shadow page current (the memory-mapped
-		// form of the cached-copy treatment).
-		if off, ok := gic.HostIfcOffset(r); ok {
-			c.PhysWrite64(v.VM.gicShadow+mem.Addr(off), e.Val)
+	if h.Cfg.GICv2 {
+		// Keep the read-only GICH shadow page, if any, current (the
+		// memory-mapped form of the cached-copy treatment).
+		shadow := mem.Addr(v.VM.word(c, vmGICShadow))
+		if off, ok := gic.HostIfcOffset(r); ok && shadow != 0 {
+			c.PhysWrite64(shadow+mem.Addr(off), e.Val)
 		}
 	}
 	if h.neveActive(v.VM) {
@@ -367,12 +372,12 @@ func sysRegEmuExtra(r arm.SysReg, write bool) uint64 {
 // transferToVEL2 switches the loaded context from the guest hypervisor's
 // host kernel (virtual EL1) to its lowvisor (virtual EL2).
 func (h *Hypervisor) transferToVEL2(c *arm.CPU, lc *loadedCtx) {
-	v := lc.vcpu
+	v := lc.vcpu()
 	c.Work(workForwardEmu)
 	h.storeVirtEL1(c, v) // park the vEL1 host context
 	h.projectVEL2Env(c, v)
 	h.flushPendingVIRQ(v)
-	lc.mode = modeVEL2
+	lc.setMode(modeVEL2)
 }
 
 // prepareForward queues delivery of an exit into the guest hypervisor's
@@ -380,13 +385,13 @@ func (h *Hypervisor) transferToVEL2(c *arm.CPU, lc *loadedCtx) {
 // syndrome through the virtual EL2 registers, and load the guest
 // hypervisor's execution environment (Section 4).
 func (h *Hypervisor) prepareForward(c *arm.CPU, lc *loadedCtx, e *arm.Exception) {
-	v := lc.vcpu
+	v := lc.vcpu()
 	gh := v.VM.GuestHyp
 	if gh == nil {
 		panic("kvm: forward with no guest hypervisor")
 	}
 	c.Work(workForwardEmu)
-	if lc.mode == modeNested {
+	if lc.mode() == modeNested {
 		// Sync the hardware list registers back into the virtual
 		// interface state, so the guest hypervisor observes the nested
 		// VM's acknowledgements and completions (Section 4, interrupt
@@ -412,8 +417,8 @@ func (h *Hypervisor) prepareForward(c *arm.CPU, lc *loadedCtx, e *arm.Exception)
 	}
 	h.projectVEL2Env(c, v)
 	h.flushPendingVIRQ(v)
-	lc.mode = modeVEL2
-	h.pendingFwd[c.ID] = &fwd{child: gh, exc: *e, level: h.Level + 1}
+	lc.setMode(modeVEL2)
+	lc.setPendingFwd(&fwd{child: gh, exc: *e, level: h.Level + 1})
 }
 
 // handleVEL2ERet handles the trapped eret of a guest hypervisor: enter its
@@ -421,7 +426,7 @@ func (h *Hypervisor) prepareForward(c *arm.CPU, lc *loadedCtx, e *arm.Exception)
 // kernel at virtual EL1 (KVM deactivates the VM around host handling, so
 // the virtual HCR_EL2.VM bit distinguishes the two).
 func (h *Hypervisor) handleVEL2ERet(c *arm.CPU, lc *loadedCtx) {
-	v := lc.vcpu
+	v := lc.vcpu()
 	c.Work(workERetEmu)
 	if h.neveActive(v.VM) {
 		h.syncVEL2FromPage(c, v)
@@ -430,20 +435,20 @@ func (h *Hypervisor) handleVEL2ERet(c *arm.CPU, lc *loadedCtx) {
 	vhcr := v.VEL2.Get(arm.HCR_EL2)
 	if vhcr&arm.HCRVM != 0 && v.VEL2.Get(arm.VTTBR_EL2) != 0 {
 		h.loadNestedState(c, v)
-		lc.mode = modeNested
+		lc.setMode(modeNested)
 		// Recursive virtualization: if the guest hypervisor queued a
 		// vector entry into ITS guest hypervisor, run it once the nested
 		// context is loaded (Section 6.2).
 		if gh := v.VM.GuestHyp; gh != nil && len(gh.VMs) > 0 {
 			nv := gh.VMs[0].VCPUs[v.ID]
-			if nv.pendingEntry != nil && nv.VM.GuestHyp != nil {
-				h.pendingFwd[c.ID] = &fwd{child: nv.VM.GuestHyp, exc: *nv.pendingEntry, level: h.Level + 2}
-				nv.pendingEntry = nil
+			if pe := nv.pendingEntry(); pe != nil && nv.VM.GuestHyp != nil {
+				lc.setPendingFwd(&fwd{child: nv.VM.GuestHyp, exc: *pe, level: h.Level + 2})
+				nv.setPendingEntry(nil)
 			}
 		}
 	} else {
 		h.loadVirtEL1(c, v)
-		lc.mode = modeVEL1Host
+		lc.setMode(modeVEL1Host)
 	}
 }
 
@@ -464,7 +469,7 @@ func (h *Hypervisor) loadNestedState(c *arm.CPU, v *VCPU) {
 			n = i + 1
 		}
 	}
-	v.dirtyLRs = n
+	v.setDirtyLRs(n)
 }
 
 // isConsole reports whether a faulting address is in the console window.

@@ -5,6 +5,7 @@ import (
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/machine"
 	"github.com/nevesim/neve/internal/mem"
 )
@@ -66,13 +67,6 @@ func (m runMode) String() string {
 	}
 }
 
-// loadedCtx is the per-physical-CPU record of what context the hypervisor
-// has loaded onto the hardware.
-type loadedCtx struct {
-	vcpu *VCPU
-	mode runMode
-}
-
 // Hypervisor is the KVM/ARM model. The same type serves as the L0 host
 // hypervisor (installed as the EL2 exception vector) and as a deprivileged
 // guest hypervisor at any level (entered through VectorEntry when its
@@ -97,12 +91,17 @@ type Hypervisor struct {
 	// home is the VM this hypervisor runs inside (nil for the host).
 	home *VM
 
+	// loaded is the per-physical-core slot (indexed by arm.CPU.ID): the
+	// loaded context and the exit queued for forwarding to a guest
+	// hypervisor.
 	loaded []loadedCtx
-	// pendingFwd is the per-physical-core exit queued for forwarding to a
-	// guest hypervisor (indexed by arm.CPU.ID, like loaded).
-	pendingFwd []*fwd
-	guestMem   *guestBacking
-	nextVMID   uint16
+	// st holds the hypervisor-wide words (hyp* in files.go): the guest
+	// table allocator cursor and the VMID allocator.
+	st [hypWords]uint64
+	jt *jit.FileTap
+	// guestMem is the table backing of a deprivileged hypervisor (nil for
+	// the host, which builds tables in machine memory).
+	guestMem *guestBacking
 }
 
 // New creates a hypervisor. parent is nil for the host (L0).
@@ -112,13 +111,18 @@ func New(cfg Config, m *machine.Machine, parent *Hypervisor) *Hypervisor {
 		level = parent.Level + 1
 	}
 	h := &Hypervisor{
-		Cfg:        cfg,
-		M:          m,
-		Parent:     parent,
-		Level:      level,
-		loaded:     make([]loadedCtx, len(m.CPUs)),
-		pendingFwd: make([]*fwd, len(m.CPUs)),
-		hostCtxs:   make([]Context, len(m.CPUs)),
+		Cfg:      cfg,
+		M:        m,
+		Parent:   parent,
+		Level:    level,
+		loaded:   make([]loadedCtx, len(m.CPUs)),
+		hostCtxs: make([]Context, len(m.CPUs)),
+	}
+	for i := range h.loaded {
+		h.loaded[i].h = h
+	}
+	if parent != nil {
+		h.guestMem = &guestBacking{h: h}
 	}
 	// Plausible host kernel EL1 context contents (values are opaque, and
 	// identical on every core: the host kernel never changes them, so the
@@ -143,12 +147,13 @@ func (h *Hypervisor) CreateVM(name string, vcpus, firstCPU int, ramBase mem.Addr
 		pcpu := h.M.CPUs[firstCPU+i]
 		v := &VCPU{VM: vm, ID: i, PCPU: pcpu}
 		v.Guest = &GuestCtx{CPU: pcpu, VCPU: v}
+		pcpu.AddVIRQSink(v.Guest)
 		// Plausible initial guest EL1 context.
 		for j, r := range el1CtxRegs {
 			v.EL1.Set(r, 0x9e570000+uint64(i)<<8+uint64(j))
 		}
 		v.VEL2.Set(arm.VMPIDR_EL2, 0x8000_0000|uint64(i))
-		v.Online = i == 0 // the boot vCPU; others come up via PSCI CPU_ON
+		v.setOnline(i == 0) // the boot vCPU; others come up via PSCI CPU_ON
 		vm.VCPUs = append(vm.VCPUs, v)
 	}
 	h.VMs = append(h.VMs, vm)
@@ -185,7 +190,7 @@ func (h *Hypervisor) RunNestedGuestOS(lv *VCPU, fn func(g *GuestCtx)) {
 	c := lv.PCPU
 	nv := lv.nestedVCPU()
 	gh := lv.VM.GuestHyp
-	gh.loaded[c.ID] = loadedCtx{vcpu: nv, mode: modeGuestOS}
+	gh.loaded[c.ID].load(nv, modeGuestOS)
 	h.loadNestedState(c, lv)
 	h.enterSwitch(c, lv, modeNested)
 	c.RunGuest(h.Level+2, func() { fn(nv.Guest) })
@@ -204,8 +209,8 @@ func (h *Hypervisor) RunL3GuestOS(lv *VCPU, fn func(g *GuestCtx)) {
 	if gh2 == nil {
 		panic("kvm: RunL3GuestOS without a recursive stack")
 	}
-	gh2.loaded[c.ID] = loadedCtx{vcpu: nnv, mode: modeGuestOS}
-	gh1.loaded[c.ID] = loadedCtx{vcpu: nv, mode: modeNested}
+	gh2.loaded[c.ID].load(nnv, modeGuestOS)
+	gh1.loaded[c.ID].load(nv, modeNested)
 	// Cold-start bookkeeping for gh1: it has entered its VM's nested
 	// context (the L3 VM), exactly as its own eret handling would leave it.
 	gh1.loadNestedState(c, nv)
@@ -239,7 +244,7 @@ func (h *Hypervisor) PreparePeerVM(v *VCPU) {
 func (h *Hypervisor) PreparePeerNested(lv *VCPU) {
 	c := lv.PCPU
 	gh := lv.VM.GuestHyp
-	gh.loaded[c.ID] = loadedCtx{vcpu: lv.nestedVCPU(), mode: modeGuestOS}
+	gh.loaded[c.ID].load(lv.nestedVCPU(), modeGuestOS)
 	h.loadNestedState(c, lv)
 	h.enterSwitch(c, lv, modeNested)
 }
@@ -248,8 +253,7 @@ func (h *Hypervisor) PreparePeerNested(lv *VCPU) {
 // initial vcpu_load + guest entry.
 func (h *Hypervisor) enterSwitch(c *arm.CPU, v *VCPU, mode runMode) {
 	lc := h.cur(c)
-	lc.vcpu = v
-	lc.mode = mode
+	lc.load(v, mode)
 	h.guestEnterSeq(c, v, mode)
 	h.setGuestEnv(c, lc)
 }
@@ -271,8 +275,8 @@ func (v *VCPU) nestedVCPU() *VCPU {
 // exitSwitchCold tears down after a guest's code returns (end of workload);
 // costs are irrelevant (outside measurement), state must be consistent.
 func (h *Hypervisor) exitSwitchCold(c *arm.CPU, v *VCPU) {
-	h.loaded[c.ID] = loadedCtx{}
-	c.VIRQ = nil
+	h.loaded[c.ID].load(nil, 0)
+	c.SetVIRQ(nil)
 	c.SetReg(arm.HCR_EL2, 0)
 }
 
@@ -281,18 +285,17 @@ func (h *Hypervisor) exitSwitchCold(c *arm.CPU, v *VCPU) {
 // a target core receive an IPI at a deterministic point.
 func (h *Hypervisor) Service(c *arm.CPU) {
 	lc := h.cur(c)
-	if lc.vcpu == nil {
+	lv := lc.vcpu()
+	if lv == nil {
 		panic("kvm: Service on idle core")
 	}
 	level := arm.VLevel(1)
-	if lc.mode == modeNested {
+	guest := lv.Guest
+	if lc.mode() == modeNested {
 		level = 2
+		guest = lv.nestedVCPU().Guest
 	}
-	guest := lc.vcpu.Guest
-	if lc.mode == modeNested {
-		guest = lc.vcpu.nestedVCPU().Guest
-	}
-	c.VIRQ = guest
+	c.SetVIRQ(guest)
 	c.RunGuest(level, func() { c.Tick(1) })
 }
 
@@ -339,7 +342,7 @@ func (h *Hypervisor) AttachGuestHypervisor(vm *VM, gh *Hypervisor) *VM {
 			h.M.RegisterNV2Page(machineAddr, &v.PageCtx)
 		}
 		// The guest hypervisor's boot programmed its VM's Stage-2 root.
-		v.VEL2.Set(arm.VTTBR_EL2, gh.vmVTTBR(nvm))
+		v.VEL2.Set(arm.VTTBR_EL2, gh.vmVTTBR(v.PCPU, nvm))
 		// Nested VM vCPU contexts start from the guest hypervisor's
 		// defaults; the virtual EL1 store begins as a copy.
 		nv := nvm.VCPUs[v.ID]

@@ -3,7 +3,6 @@ package kvm
 import (
 	"sync/atomic"
 
-	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
@@ -12,27 +11,30 @@ import (
 
 // Per-vCPU trace-JIT shards for the SMP epoch engine.
 //
-// A single jit.Engine is not safe for concurrent dispatch, which is why
-// PR 7 detached the JIT inside SMP runs. Shards restore the replay win:
-// each running vCPU gets its own engine whose walk covers strictly
-// per-vCPU state — its CPU model, its saved register contexts (re-tapped
-// onto the shard for the run), its vCPU records in every VM, its private
-// per-run Stage-2 TLB — so recordings never interleave across CPUs and
+// A single jit.Engine is not safe for concurrent dispatch. Shards restore
+// the replay win inside SMP runs: each running vCPU gets its own engine,
+// and for the run every state file owned by that vCPU's physical core is
+// re-tapped onto it — the CPU's register and state files, each
+// hypervisor's loaded slot and host context for the core, and the vCPU's
+// state file and saved contexts in every VM — together with a private
+// per-run Stage-2 TLB. Recordings never interleave across CPUs and
 // dispatch touches no shared chain state.
 //
-// The sharded-JIT invariant: a shard's restore walk writes only words
-// owned by its vCPU. Machine-shared state is handled three ways:
-//   - state that never changes inside an SMP run (VM table roots, the
-//     guest memory allocator cursor, virtio register words — all mutated
-//     only at barriers or not at all) is pinned with Shape words, which
-//     match and guard but never write;
+// The sharded-JIT invariant: a shard's replay writes only words owned by
+// its vCPU. Machine-shared state is handled three ways:
+//   - shared files a world switch reads (each VM's file: the Stage-2 root
+//     and the virtio registers) are registered read-only with every shard,
+//     through the VM's per-core tap: a shard read guards the word, a shard
+//     write poisons;
 //   - shared MUTATIONS during a recording are caught by run-long fan-out
 //     taps on memory and the UART that broadcast PoisonAsync to every
 //     shard (gated by the summed recording gauge, so the broadcast costs
 //     one atomic load when nothing is recording);
-//   - shared READS that a replay could not revalidate (distributor enable
-//     bits on interrupt delivery, cross-vCPU pending queues) poison at
-//     the reading call sites via CPU.JITPoisonShared, bound per-run.
+//   - shared READS a replay could not revalidate (distributor enable bits
+//     on interrupt delivery, cross-vCPU pending queues) poison at the
+//     reading call sites via CPU.JITPoisonShared, bound per-run. The
+//     distributor and hypervisor-wide files keep their whole-stack taps,
+//     which stay inert while the whole-stack engine is detached.
 //
 // Shard engines persist on the Stack across RunSMPOpts calls and sweep
 // cells, so super-ops compiled in one run replay in the next. The private
@@ -40,149 +42,10 @@ import (
 // a per-run generation base keeps stale probe sets from validating
 // against a new TLB whose generation counter restarted.
 
-// shardTables is the identity table set shared by all vCPU shard walks
-// (the same closed sets stackSource precomputes, built once per stack).
-type shardTables struct {
-	sinks         []arm.VIRQSink
-	vcpus         []*VCPU
-	hypList       []*Hypervisor
-	host, gh, gh2 *Hypervisor
-}
-
-// vcpuSource walks one vCPU's slice of the stack for its shard engine.
-type vcpuSource struct {
-	s   *Stack
-	cpu int
-	t   *shardTables
-	// col is the vCPU's per-run trace shard (reset by smpSetup each run);
-	// its mode word is the walk's structural guard, exactly as the parent
-	// collector's is for the whole-stack walk.
-	col *trace.Collector
-}
-
-func (src *vcpuSource) WalkJIT(w *jit.W) {
-	s := src.s
-	w.Shape(src.col.JITMode())
-	c := s.M.CPUs[src.cpu]
-	c.WalkJIT(w)
-	idx := -1
-	for i, sk := range src.t.sinks {
-		if sk == c.VIRQ {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		w.Fail()
-		return
-	}
-	tmp := uint64(idx)
-	w.Word(&tmp)
-	c.VIRQ = src.t.sinks[tmp]
-	if s.Host != src.t.host || s.GuestHyp != src.t.gh || s.GuestHyp2 != src.t.gh2 {
-		w.Fail()
-		return
-	}
-	for _, h := range src.t.hypList {
-		src.walkHyp(w, h)
-	}
-}
-
-// walkHyp pins the vCPU's slice of one hypervisor: its own physical
-// core's host context, loaded slot, and forwarding slot (all Words — no
-// sibling touches them mid-segment), the hypervisor-wide allocator
-// cursors as Shapes (immutable inside a run; a recording that did move
-// them fails shape equality and stays interpreted), and the vCPU's
-// record in each VM.
-func (src *vcpuSource) walkHyp(w *jit.W, h *Hypervisor) {
-	i := src.cpu
-	if h.hostCtxs[i].jt == nil {
-		w.Fail()
-		return
-	}
-	lc := &h.loaded[i]
-	idx := -1
-	for j, v := range src.t.vcpus {
-		if v == lc.vcpu {
-			idx = j
-			break
-		}
-	}
-	if idx < 0 {
-		w.Fail()
-		return
-	}
-	tmp := uint64(idx) | uint64(lc.mode)<<16
-	w.Word(&tmp)
-	lc.vcpu = src.t.vcpus[tmp&0xffff]
-	lc.mode = runMode(tmp >> 16)
-	if h.pendingFwd[i] != nil {
-		w.Fail()
-		return
-	}
-	if h.guestMem != nil {
-		w.Shape(1<<63 | uint64(h.guestMem.next))
-	} else {
-		w.Shape(0)
-	}
-	w.Shape(uint64(h.nextVMID))
-	for _, vm := range h.VMs {
-		src.walkVM(w, vm)
-	}
-}
-
-func (src *vcpuSource) walkVM(w *jit.W, vm *VM) {
-	shapeTables(w, vm.s2)
-	if vm.virtio != nil {
-		dev := vm.virtio
-		shape := uint64(1)
-		if dev.echo != nil {
-			shape |= 2
-		}
-		w.Shape(shape)
-		w.Shape(dev.queuePFN)
-		w.Shape(dev.queueNum)
-		w.Shape(dev.status | uint64(dev.intStatus)<<32)
-	} else {
-		w.Shape(0)
-	}
-	if src.cpu < len(vm.VCPUs) {
-		walkVCPU(w, vm.VCPUs[src.cpu])
-	}
-}
-
-// shapeTables is walkTables with guard-only semantics: table tree facts
-// are shared across vCPUs, so a shard must never restore (write) them.
-func shapeTables(w *jit.W, t *mmu.Tables) {
-	if t == nil {
-		w.Shape(0)
-		return
-	}
-	w.Shape(1<<63 | uint64(t.Pages()))
-	w.Shape(uint64(t.Root))
-}
-
 // smpShardEngines returns the per-vCPU shard engines for the first n
-// cores, building missing ones (and the shared identity tables) lazily.
-// Engines persist across runs so compiled super-ops survive.
+// cores, building missing ones lazily. Engines persist across runs so
+// compiled super-ops survive.
 func (s *Stack) smpShardEngines(n int) []*jit.Engine {
-	if s.smpTables == nil {
-		t := &shardTables{host: s.Host, gh: s.GuestHyp, gh2: s.GuestHyp2}
-		t.hypList = s.hyps()
-		t.sinks = append(t.sinks, nil)
-		t.vcpus = append(t.vcpus, nil)
-		for _, h := range t.hypList {
-			for _, vm := range h.VMs {
-				for _, v := range vm.VCPUs {
-					t.vcpus = append(t.vcpus, v)
-					if v.Guest != nil {
-						t.sinks = append(t.sinks, v.Guest)
-					}
-				}
-			}
-		}
-		s.smpTables = t
-	}
 	for i := len(s.smpShards); i < n; i++ {
 		s.smpShards = append(s.smpShards, s.newShardEngine(i))
 	}
@@ -192,12 +55,11 @@ func (s *Stack) smpShardEngines(n int) []*jit.Engine {
 // newShardEngine builds the shard for physical CPU i. The hooks see a
 // one-CPU machine (shard clock deltas only ever charge the owning core;
 // cross-core charges happen at barriers, outside recordings) and resolve
-// the private TLB through s.smpS2 at call time, since the TLB is rebuilt
-// every run while the engine persists.
+// the private TLB through s.smpS2 and the trace shard through s.smpCols at
+// call time, since both are rebuilt every run while the engine persists.
 func (s *Stack) newShardEngine(i int) *jit.Engine {
 	c := s.M.CPUs[i]
-	src := &vcpuSource{s: s, cpu: i, t: s.smpTables}
-	s.smpSrcs = append(s.smpSrcs, src)
+	s.smpCols = append(s.smpCols, nil)
 	var eng *jit.Engine
 	hooks := jit.Hooks{
 		NumCPUs:      1,
@@ -210,6 +72,7 @@ func (s *Stack) newShardEngine(i int) *jit.Engine {
 		TLBAddHits: func(n uint64) { s.smpS2[i].TLB.AddHits(n) },
 		TLBGen:     func() uint64 { return s.smpGenBase + s.smpS2[i].TLB.Gen() },
 		ClockGap:   func(int) uint64 { return c.JITClockGap() },
+		Gen:        func() uint64 { return s.smpCols[i].JITMode() },
 		Arm: func() {
 			tlb := s.smpS2[i].TLB
 			tlb.OnMutate = eng.Poison
@@ -223,36 +86,27 @@ func (s *Stack) newShardEngine(i int) *jit.Engine {
 			tlb.OnLookup = nil
 		},
 	}
-	eng = jit.New(s.jitThreshold, []jit.Source{src}, hooks)
+	eng = jit.New(s.jitThreshold, hooks)
 	eng.SetRecGauge(&s.smpRecs)
 	return eng
 }
 
-// tapFor returns eng's tap for register file f, registering it on first
-// use and reusing the existing ID thereafter (shard engines outlive runs,
-// so the same files re-attach every run).
-func tapFor(eng *jit.Engine, f []uint64) *jit.FileTap {
-	id := eng.FileByBase(&f[0])
-	if id == 0 {
-		id = eng.RegisterFile(f)
-	}
-	return eng.Tap(id)
-}
-
-// shardCtxs visits the saved register contexts owned by physical CPU i:
-// each hypervisor's host context for that core and the vCPU's three
-// contexts in every VM. These are exactly the files a shard recording on
-// CPU i can read or write.
-func (s *Stack) shardCtxs(i int, fn func(ctx *Context)) {
-	for _, h := range s.smpTables.hypList {
-		fn(&h.hostCtxs[i])
+// shardFiles visits the tap of every file a shard for physical CPU i
+// tracks, besides the CPU's own: each hypervisor's loaded slot and host
+// context for that core, each VM's shared file (read-only), and the
+// vCPU's state file and contexts in every VM.
+func (s *Stack) shardFiles(i int, fn func(tap **jit.FileTap, f []uint64, ro bool)) {
+	for _, h := range s.hyps() {
+		fn(&h.loaded[i].jt, h.loaded[i].st[:], false)
+		fn(&h.hostCtxs[i].jt, h.hostCtxs[i].regs[:], false)
 		for _, vm := range h.VMs {
+			fn(&vm.jt[i], vm.st[:], true)
 			if i < len(vm.VCPUs) {
 				v := vm.VCPUs[i]
-				fn(&v.EL1)
-				fn(&v.VEL2)
-				fn(&v.VirtEL1)
-				fn(&v.PageCtx)
+				fn(&v.jt, v.st[:], false)
+				for _, ctx := range v.contexts() {
+					fn(&ctx.jt, ctx.regs[:], false)
+				}
 			}
 		}
 	}
@@ -260,7 +114,6 @@ func (s *Stack) shardCtxs(i int, fn func(ctx *Context)) {
 
 // smpAttachJIT switches the first n cores from the whole-stack engine to
 // their shard engines for one SMP run and returns the matching detach.
-// No-op (returns nil... the caller guards) when the stack has no JIT.
 func (s *Stack) smpAttachJIT(n int, cols []*trace.Collector) func() {
 	shards := s.smpShardEngines(n)
 	// A fresh TLB generation base per run: shard super-ops promoted under
@@ -270,7 +123,7 @@ func (s *Stack) smpAttachJIT(n int, cols []*trace.Collector) func() {
 	s.smpGenBase += 1 << 32
 	atomic.StoreInt64(&s.smpRecs, 0)
 	// Fan-out poison: any memory or UART mutation while some shard is
-	// recording may be outside that shard's walk. Installed run-long;
+	// recording may be outside that shard's files. Installed run-long;
 	// the whole-stack engine is detached for the run, so the taps are
 	// free for the fan.
 	fan := func() {
@@ -284,16 +137,15 @@ func (s *Stack) smpAttachJIT(n int, cols []*trace.Collector) func() {
 	s.M.Mem.Tap = fan
 	s.M.UART.Tap = fan
 
-	type ctxSave struct {
-		ctx *Context
-		jt  *jit.FileTap
+	type tapSave struct {
+		p   **jit.FileTap
+		old *jit.FileTap
 	}
-	var saved []ctxSave
+	var saved []tapSave
 	for i := 0; i < n; i++ {
-		i := i
 		c := s.M.CPUs[i]
 		sh := shards[i]
-		s.smpSrcs[i].col = cols[i]
+		s.smpCols[i] = cols[i]
 		sh.SetTrace(cols[i])
 		c.SetJIT(sh)
 		// Shared-state poison: the reader's own recording synchronously,
@@ -309,14 +161,14 @@ func (s *Stack) smpAttachJIT(n int, cols []*trace.Collector) func() {
 				}
 			}
 		})
-		s.shardCtxs(i, func(ctx *Context) {
-			saved = append(saved, ctxSave{ctx, ctx.jt})
-			ctx.jt = tapFor(sh, ctx.regs[:])
+		s.shardFiles(i, func(tap **jit.FileTap, f []uint64, ro bool) {
+			saved = append(saved, tapSave{tap, *tap})
+			*tap = sh.TapFor(f, ro)
 		})
 	}
 	return func() {
 		for _, sv := range saved {
-			sv.ctx.jt = sv.jt
+			*sv.p = sv.old
 		}
 		for i := 0; i < n; i++ {
 			c := s.M.CPUs[i]

@@ -20,17 +20,18 @@ import (
 // physical addresses, so the mmu table builders work unchanged for tables a
 // guest builds in its own memory. Pages come from a bump region at the top
 // of the guest's RAM.
+// The allocator cursor is the hypervisor's hypGuestNext word.
 type guestBacking struct {
-	h    *Hypervisor
-	next mem.Addr
+	h *Hypervisor
 }
 
 func (b *guestBacking) AllocPage() mem.Addr {
-	if b.next == 0 {
-		b.next = GuestRAMIPA + mem.Addr(b.h.home.RAMSize) - mem.Addr(b.h.home.RAMSize/8)
+	h := b.h
+	p := mem.Addr(h.word(hypGuestNext))
+	if p == 0 {
+		p = GuestRAMIPA + mem.Addr(h.home.RAMSize) - mem.Addr(h.home.RAMSize/8)
 	}
-	p := b.next
-	b.next += mem.PageSize
+	h.setWord(hypGuestNext, uint64(p+mem.PageSize))
 	return p
 }
 
@@ -63,9 +64,6 @@ func (h *Hypervisor) backing() mmu.Backing {
 	if h.IsHost() {
 		return h.M.Mem
 	}
-	if h.guestMem == nil {
-		h.guestMem = &guestBacking{h: h}
-	}
 	return h.guestMem
 }
 
@@ -83,9 +81,11 @@ func (h *Hypervisor) ownToMachine(a mem.Addr) (mem.Addr, bool) {
 
 // initVMS2 allocates and populates the VM's Stage-2 tables: RAM is mapped
 // linearly; device windows (virtio) are deliberately left unmapped so
-// accesses trap for emulation.
-func (h *Hypervisor) initVMS2(vm *VM) {
+// accesses trap for emulation. Creating the tables is not replayable.
+func (h *Hypervisor) initVMS2(c *arm.CPU, vm *VM) {
+	c.JITPoison()
 	vm.s2 = mmu.NewTables(h.backing())
+	vm.setWord(c, vmS2Root, uint64(vm.s2.Root))
 	vm.s2.Map(GuestRAMIPA, vm.RAMBase, vm.RAMSize, mmu.PermRWX)
 	if h.Cfg.GICv2 && h.neveActive(vm) {
 		// NEVE with a memory-mapped interface: expose the hypervisor
@@ -97,11 +97,12 @@ func (h *Hypervisor) initVMS2(vm *VM) {
 		if !ok {
 			panic("kvm: GIC shadow page outside RAM")
 		}
-		vm.gicShadow = ma
+		vm.setWord(c, vmGICShadow, uint64(ma))
 		vm.s2.Map(gic.HostIfcBase, vm.gicShadowOwn, mem.PageSize, mmu.PermR)
 	}
-	h.nextVMID++
-	vm.vmid = h.nextVMID
+	vmid := h.word(hypNextVMID) + 1
+	h.setWord(hypNextVMID, vmid)
+	vm.vmid = uint16(vmid)
 }
 
 // gichFaultReg resolves a Stage-2 fault in the GICH window to the backing
@@ -117,7 +118,8 @@ func (h *Hypervisor) gichFaultReg(e *arm.Exception) (arm.SysReg, bool) {
 // shadow page so deprivileged reads observe current values.
 func (h *Hypervisor) refreshGICShadow(c *arm.CPU, v *VCPU) {
 	vm := v.VM
-	if vm.gicShadow == 0 {
+	shadow := mem.Addr(vm.word(c, vmGICShadow))
+	if shadow == 0 {
 		return
 	}
 	for _, r := range vncrEL2Regs {
@@ -125,29 +127,41 @@ func (h *Hypervisor) refreshGICShadow(c *arm.CPU, v *VCPU) {
 		if !ok {
 			continue
 		}
-		c.PhysWrite64(vm.gicShadow+mem.Addr(off), v.VEL2.Get(r))
+		c.PhysWrite64(shadow+mem.Addr(off), v.VEL2.Get(r))
 	}
 }
 
-// vmVTTBR is the VTTBR_EL2 value this hypervisor programs to run vm.
-func (h *Hypervisor) vmVTTBR(vm *VM) uint64 {
-	if vm.s2 == nil {
-		h.initVMS2(vm)
+// vmVTTBR is the VTTBR_EL2 value this hypervisor programs to run vm on
+// core c.
+func (h *Hypervisor) vmVTTBR(c *arm.CPU, vm *VM) uint64 {
+	root := vm.word(c, vmS2Root)
+	if root == 0 {
+		h.initVMS2(c, vm)
+		root = uint64(vm.s2.Root)
 	}
-	return mmu.MakeVTTBR(vm.s2.Root, vm.vmid)
+	return mmu.MakeVTTBR(mem.Addr(root), vm.vmid)
 }
 
 // shadowVTTBR returns (building lazily) the shadow Stage-2 root for the
 // nested VM of vcpu v. Shadow tables live in machine memory and are
 // populated on faults by fixShadowS2Fault.
 func (h *Hypervisor) shadowVTTBR(c *arm.CPU, v *VCPU) uint64 {
-	if v.shadowS2 == nil {
+	root := v.word(vcShadowRoot)
+	if root == 0 {
 		// Tables live in the hypervisor's own address space: machine
 		// memory for the host, guest physical memory for a deprivileged
 		// hypervisor (whose shadow is collapsed again by its parent).
-		v.shadowS2 = mmu.NewTables(h.backing())
+		h.newShadowS2(c, v)
+		root = uint64(v.shadowS2.Root)
 	}
-	return mmu.MakeVTTBR(v.shadowS2.Root, shadowVMIDBase+uint16(v.PCPU.ID))
+	return mmu.MakeVTTBR(mem.Addr(root), shadowVMIDBase+uint16(v.PCPU.ID))
+}
+
+// newShadowS2 creates v's (empty) shadow Stage-2 tree; not replayable.
+func (h *Hypervisor) newShadowS2(c *arm.CPU, v *VCPU) {
+	c.JITPoison()
+	v.shadowS2 = mmu.NewTables(h.backing())
+	v.setWord(vcShadowRoot, uint64(v.shadowS2.Root))
 }
 
 const shadowVMIDBase = 0x100
@@ -208,8 +222,8 @@ func (h *Hypervisor) fixShadowS2Fault(c *arm.CPU, v *VCPU, e *arm.Exception) boo
 	if !ok {
 		return false
 	}
-	if v.shadowS2 == nil {
-		v.shadowS2 = mmu.NewTables(h.backing())
+	if v.word(vcShadowRoot) == 0 {
+		h.newShadowS2(c, v)
 	}
 	v.shadowS2.Map(e.FaultIPA.PageBase(), ownPA.PageBase(), mem.PageSize, res.Perm)
 	h.tlbFlushPage(c, shadowVMIDBase+uint16(v.PCPU.ID), e.FaultIPA.PageBase())
@@ -243,14 +257,14 @@ func (h *Hypervisor) tlbFlushPage(c *arm.CPU, vmid uint16, ipa mem.Addr) {
 // repaired fault). For nested mode it goes through the shadow tables.
 func (h *Hypervisor) ipaToMachine(v *VCPU, ipa mem.Addr) (mem.Addr, bool) {
 	lc := &h.loaded[v.PCPU.ID]
-	if lc.mode == modeNested && v.shadowS2 != nil {
+	if lc.mode() == modeNested && v.word(vcShadowRoot) != 0 {
 		if res, ok := v.shadowS2.Walk(ipa); ok {
 			return h.ownToMachine(res.OA)
 		}
 		return 0, false
 	}
 	vm := v.VM
-	if res, ok := mmu.Walk(h.backing(), vm.s2.Root, ipa, h.xlatOwn); ok {
+	if res, ok := mmu.Walk(h.backing(), mem.Addr(vm.word(v.PCPU, vmS2Root)), ipa, h.xlatOwn); ok {
 		return h.ownToMachine(res.OA)
 	}
 	return 0, false

@@ -58,8 +58,8 @@ func TestGuestBackingReadsWriteThroughChain(t *testing.T) {
 
 func TestVMVTTBRStable(t *testing.T) {
 	s := NewVMStack(StackOptions{})
-	v1 := s.Host.vmVTTBR(s.VM)
-	v2 := s.Host.vmVTTBR(s.VM)
+	v1 := s.Host.vmVTTBR(s.M.CPUs[0], s.VM)
+	v2 := s.Host.vmVTTBR(s.M.CPUs[0], s.VM)
 	if v1 != v2 || v1 == 0 {
 		t.Fatalf("vmVTTBR unstable: %#x vs %#x", v1, v2)
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/nevesim/neve/internal/machine"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
+	"github.com/nevesim/neve/internal/trace"
 )
 
 // Stack is an assembled virtualization stack on simulated hardware: the
@@ -32,13 +33,13 @@ type Stack struct {
 	// per-vCPU SMP shard engines are built lazily (jitshard.go).
 	jitThreshold int
 
-	// smpShards/smpSrcs/smpTables are the persistent per-vCPU JIT shard
-	// engines, their walk sources, and the shared identity tables
-	// (jitshard.go). Shards outlive individual SMP runs so compiled
-	// super-ops replay across runs and sweep cells.
+	// smpShards are the persistent per-vCPU JIT shard engines
+	// (jitshard.go), and smpCols each shard's current per-run trace shard,
+	// whose mode the shard pins as its generation. Shards outlive
+	// individual SMP runs so compiled super-ops replay across runs and
+	// sweep cells.
 	smpShards []*jit.Engine
-	smpSrcs   []*vcpuSource
-	smpTables *shardTables
+	smpCols   []*trace.Collector
 	// smpS2 holds each running core's private per-run Stage-2 walker;
 	// the shard TLB hooks resolve the current TLB through it at call
 	// time because the walker is rebuilt every run.

@@ -22,21 +22,22 @@ import (
 // guest's own RAM through the CPU's guest-access path: every read and
 // write goes through Stage-2 translation, faulting and being repaired or
 // emulated like any other guest access.
+//
+// Table pages come from a bump allocator whose cursor is the vCPU's
+// vcS1Next word, placed in the top quarter of guest RAM (below the region
+// a guest hypervisor would use for its own tables).
 type stage1Backing struct {
 	g *GuestCtx
-	// next is the bump allocator for table pages, placed in the top
-	// eighth of guest RAM (below the region a guest hypervisor would use
-	// for its own tables).
-	next mem.Addr
 }
 
 func (b *stage1Backing) AllocPage() mem.Addr {
-	if b.next == 0 {
-		size := b.g.VCPU.VM.RAMSize
-		b.next = GuestRAMIPA + mem.Addr(size) - mem.Addr(size/4)
+	v := b.g.VCPU
+	p := mem.Addr(v.word(vcS1Next))
+	if p == 0 {
+		size := v.VM.RAMSize
+		p = GuestRAMIPA + mem.Addr(size) - mem.Addr(size/4)
 	}
-	p := b.next
-	b.next += mem.PageSize
+	v.setWord(vcS1Next, uint64(p+mem.PageSize))
 	// Zero the fresh table page through the guest path.
 	for off := mem.Addr(0); off < mem.PageSize; off += 512 {
 		b.g.CPU.GuestWrite(p+off, 8, 0)
@@ -67,11 +68,13 @@ func (b *stage1Backing) WriteWords(a mem.Addr, vs []uint64) {
 // table in guest RAM and programs TTBR0_EL1 — a plain EL1 register write
 // that traps only for a deprivileged non-VHE hypervisor, never for a VM.
 func (g *GuestCtx) EnableStage1() {
-	if g.s1 != nil {
+	if g.VCPU.word(vcS1Root) != 0 {
 		return
 	}
+	g.CPU.JITPoison()
 	b := &stage1Backing{g: g}
 	g.s1 = mmu.NewTables(b)
+	g.VCPU.setWord(vcS1Root, uint64(g.s1.Root))
 	g.CPU.MSR(ttbr0ForGuest, uint64(g.s1.Root))
 }
 
@@ -81,7 +84,7 @@ const ttbr0ForGuest = arm.TTBR0_EL1
 // MapVA maps one page of guest virtual address space onto a guest physical
 // page, building Stage-1 descriptors in guest RAM.
 func (g *GuestCtx) MapVA(va, ipa mem.Addr) {
-	if g.s1 == nil {
+	if g.VCPU.word(vcS1Root) == 0 {
 		panic("kvm: MapVA before EnableStage1")
 	}
 	g.s1.Map(va.PageBase(), ipa.PageBase(), mem.PageSize, mmu.PermRWX)
@@ -105,7 +108,7 @@ func (f *Stage1Fault) Error() string {
 // translateVA models the hardware Stage-1 walk: descriptor fetches go
 // through the guest-access path (and therefore Stage-2).
 func (g *GuestCtx) translateVA(va mem.Addr) (mem.Addr, error) {
-	if g.s1 == nil {
+	if g.VCPU.word(vcS1Root) == 0 {
 		panic("kvm: virtual access with Stage-1 disabled")
 	}
 	res, ok := mmu.Walk(&stage1Backing{g: g}, mem.Addr(g.CPU.Reg(ttbr0ForGuest)), va, nil)

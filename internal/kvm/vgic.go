@@ -16,7 +16,7 @@ import (
 // on the target vCPU and kick the physical core it runs on.
 func (h *Hypervisor) vgicSendSGI(c *arm.CPU, vm *VM, target, intid int) {
 	// The target's pending queue is another vCPU's state: outside the
-	// sender's per-vCPU JIT shard walk, so no shard recording may span
+	// sender's per-vCPU JIT shard files, so no shard recording may span
 	// this emulation.
 	c.JITPoisonShared()
 	c.Work(workVGICEmu)
@@ -24,7 +24,7 @@ func (h *Hypervisor) vgicSendSGI(c *arm.CPU, vm *VM, target, intid int) {
 		panic(fmt.Sprintf("kvm[%s]: SGI to nonexistent vcpu %d", h.Cfg.Name, target))
 	}
 	tv := vm.VCPUs[target]
-	tv.pendingVIRQ = append(tv.pendingVIRQ, intid)
+	tv.queueVIRQ(intid)
 	h.kick(c, tv)
 }
 
@@ -49,7 +49,7 @@ func (h *Hypervisor) kick(c *arm.CPU, tv *VCPU) {
 // injectVIRQ queues a virtual interrupt for a vCPU of one of this
 // hypervisor's VMs.
 func (h *Hypervisor) injectVIRQ(v *VCPU, intid int) {
-	v.pendingVIRQ = append(v.pendingVIRQ, intid)
+	v.queueVIRQ(intid)
 }
 
 // flushPendingVIRQ moves software-pending interrupts into the vCPU's saved
@@ -57,17 +57,16 @@ func (h *Hypervisor) injectVIRQ(v *VCPU, intid int) {
 // shadow) list registers on entry.
 func (h *Hypervisor) flushPendingVIRQ(v *VCPU) {
 	free := 0
-	for len(v.pendingVIRQ) > 0 && free < usedLRs {
+	for v.virqCount() > 0 && free < usedLRs {
 		lr := v.EL1.Get(arm.ICHLR(free))
 		if arm.LRStateOf(lr) != arm.LRStateInvalid {
 			free++
 			continue
 		}
-		intid := v.pendingVIRQ[0]
-		v.pendingVIRQ = v.pendingVIRQ[1:]
+		intid := v.popVIRQ()
 		v.EL1.Set(arm.ICHLR(free), arm.MakeLR(intid, -1))
-		if free+1 > v.dirtyLRs {
-			v.dirtyLRs = free + 1
+		if free+1 > v.dirtyLRs() {
+			v.setDirtyLRs(free + 1)
 		}
 		free++
 	}
@@ -79,7 +78,7 @@ func (h *Hypervisor) flushPendingVIRQ(v *VCPU) {
 // whether the interrupt must additionally be delivered to the guest
 // hypervisor of the current VM.
 func (h *Hypervisor) routeIRQToVM(c *arm.CPU, lc *loadedCtx, intid int) bool {
-	v := lc.vcpu
+	v := lc.vcpu()
 	h.ackPhysIRQ(c, intid)
 	if intid != KickSGI {
 		// Device/timer/SGI interrupts are injected as virtual interrupts;
@@ -101,7 +100,7 @@ func (h *Hypervisor) routeIRQToVM(c *arm.CPU, lc *loadedCtx, intid int) bool {
 func (h *Hypervisor) handlePhysIRQ(c *arm.CPU, lc *loadedCtx, intid int) {
 	c.Work(workVGICEmu)
 	h.ackPhysIRQ(c, intid)
-	v := lc.vcpu
+	v := lc.vcpu()
 	if intid == KickSGI {
 		h.flushPendingVIRQ(v)
 		return

@@ -22,11 +22,11 @@ func TestFlushPendingRespectsLRCapacity(t *testing.T) {
 	if filled != usedLRs {
 		t.Fatalf("filled %d LRs, want %d", filled, usedLRs)
 	}
-	if len(v.pendingVIRQ) != 3 {
-		t.Fatalf("overflow queue = %d, want 3", len(v.pendingVIRQ))
+	if v.virqCount() != 3 {
+		t.Fatalf("overflow queue = %d, want 3", v.virqCount())
 	}
-	if v.dirtyLRs != usedLRs {
-		t.Fatalf("dirtyLRs = %d, want %d", v.dirtyLRs, usedLRs)
+	if v.dirtyLRs() != usedLRs {
+		t.Fatalf("dirtyLRs = %d, want %d", v.dirtyLRs(), usedLRs)
 	}
 }
 

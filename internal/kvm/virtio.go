@@ -23,15 +23,6 @@ const (
 	VirtioIRQ = 49
 )
 
-// vmVirtio is the per-VM device instance.
-type vmVirtio struct {
-	queuePFN  uint64
-	queueNum  uint64
-	status    uint64
-	intStatus uint32
-	echo      *virtio.Echo
-}
-
 // hypRingMem is the backend's vhost-style access to guest memory:
 // addresses are guest-physical, pre-translated through the hypervisor's
 // tables (charged as the backend's memory traffic).
@@ -72,15 +63,10 @@ func (m hypRingMem) Write64(a mem.Addr, v uint64) {
 
 // virtioMMIO emulates the virtio-mmio register block.
 func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
-	// The device block is VM-wide shared state (guarded but never
-	// restored by per-vCPU JIT shard walks): shard recordings must not
-	// span its emulation.
+	// The device block is VM-wide shared state (read-only to per-vCPU
+	// JIT shards): shard recordings must not span its emulation.
 	c.JITPoisonShared()
 	vm := v.VM
-	if vm.virtio == nil {
-		vm.virtio = &vmVirtio{}
-	}
-	dev := vm.virtio
 	off := uint64(e.FaultIPA-VirtioBase) - VirtioRegOff
 	c.Work(workVirtioReg)
 	if !e.Write {
@@ -94,52 +80,56 @@ func (h *Hypervisor) virtioMMIO(c *arm.CPU, v *VCPU, e *arm.Exception) uint64 {
 		case virtio.RegQueueNumMax:
 			return virtio.QueueSize
 		case virtio.RegQueuePFN:
-			return dev.queuePFN
+			return vm.word(c, vmQueuePFN)
 		case virtio.RegIntStatus:
-			return uint64(dev.intStatus)
+			return vm.word(c, vmIntStatus)
 		case virtio.RegStatus:
-			return dev.status
+			return vm.word(c, vmStatus)
 		default:
 			return 0
 		}
 	}
 	switch off {
 	case virtio.RegQueueNum:
-		dev.queueNum = e.Val
+		vm.setWord(c, vmQueueNum, e.Val)
 	case virtio.RegQueuePFN:
-		dev.queuePFN = e.Val
-		dev.echo = &virtio.Echo{Ring: virtio.Ring{
+		vm.setWord(c, vmQueuePFN, e.Val)
+		// A new backend object: not replayable.
+		c.JITPoison()
+		vm.echo = &virtio.Echo{Ring: virtio.Ring{
 			Mem:  hypRingMem{h: h, v: v, c: c},
 			Base: mem.Addr(e.Val << mem.PageShift),
 		}}
+		vm.setWord(c, vmEcho, 1)
 	case virtio.RegStatus:
-		dev.status = e.Val
+		vm.setWord(c, vmStatus, e.Val)
 	case virtio.RegQueueNotify:
 		// The kick: drain the queue in the backend, then signal
 		// completion with the device interrupt.
-		if dev.echo == nil || dev.status&virtioStatusNeedsReset != 0 {
+		if vm.word(c, vmEcho) == 0 || vm.word(c, vmStatus)&virtioStatusNeedsReset != 0 {
 			return 0
 		}
 		c.Work(workVirtioKick)
 		// Refresh the backend's memory view (the CPU handle changes per
 		// trap).
-		dev.echo.Ring.Mem = hypRingMem{h: h, v: v, c: c}
-		n, rf := drainRing(dev.echo)
+		vm.echo.Ring.Mem = hypRingMem{h: h, v: v, c: c}
+		n, rf := drainRing(vm.echo)
 		if rf != nil {
 			// The guest's ring points at unmapped memory: fail the
 			// device (NEEDS_RESET, no completion) and keep running; the
 			// driver observes the missing used entry.
-			dev.status |= virtioStatusNeedsReset
-			dev.echo = nil
+			vm.setWord(c, vmStatus, vm.word(c, vmStatus)|virtioStatusNeedsReset)
+			vm.echo = nil
+			vm.setWord(c, vmEcho, 0)
 			return 0
 		}
 		if n > 0 {
-			dev.intStatus |= 1
+			vm.setWord(c, vmIntStatus, vm.word(c, vmIntStatus)|1)
 			h.injectVIRQ(v, VirtioIRQ)
 			h.flushPendingVIRQ(v)
 		}
 	case virtio.RegIntACK:
-		dev.intStatus &^= uint32(e.Val)
+		vm.setWord(c, vmIntStatus, vm.word(c, vmIntStatus)&^uint64(uint32(e.Val)))
 	}
 	return 0
 }
@@ -196,7 +186,9 @@ func (g *GuestCtx) VirtioInit() error {
 	g.CPU.GuestWrite(base+virtio.RegQueueNum, 4, virtio.QueueSize)
 	g.CPU.GuestWrite(base+virtio.RegQueuePFN, 4, uint64(virtioRingIPA)>>mem.PageShift)
 	g.CPU.GuestWrite(base+virtio.RegStatus, 4, 0xf) // DRIVER_OK
+	g.CPU.JITPoison()
 	g.vq = &virtio.Driver{Ring: virtio.Ring{Mem: guestRingMem{g}, Base: virtioRingIPA}}
+	g.VCPU.setWord(vcRingBase, uint64(virtioRingIPA))
 	return nil
 }
 
@@ -206,7 +198,7 @@ func (g *GuestCtx) VirtioInit() error {
 // trapped kick, backend processing in the hypervisor, a completion
 // interrupt, and the used-ring harvest.
 func (g *GuestCtx) VirtioEcho(payload uint64) (uint64, error) {
-	if g.vq == nil {
+	if g.VCPU.word(vcRingBase) == 0 {
 		return 0, fmt.Errorf("kvm: VirtioEcho before VirtioInit")
 	}
 	buf := virtioBufIPA + mem.Addr(g.vq.Ring.AvailIdx()%virtio.QueueSize)*64

@@ -5,6 +5,7 @@ import (
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/core"
+	"github.com/nevesim/neve/internal/jit"
 	"github.com/nevesim/neve/internal/mem"
 	"github.com/nevesim/neve/internal/mmu"
 	"github.com/nevesim/neve/internal/virtio"
@@ -46,22 +47,29 @@ type VM struct {
 	// a plain VM running only an OS).
 	GuestHyp *Hypervisor
 
+	// st is the VM's state file (vm* words in files.go): the Stage-2 root
+	// and the virtio register block. jt holds one tap per physical core.
+	st [vmWords]uint64
+	jt []*jit.FileTap
+
 	// s2 is the Stage-2 table tree the managing hypervisor built for this
-	// VM, in the manager's own address space; vmid tags its TLB entries.
+	// VM, in the manager's own address space (present iff the vmS2Root
+	// word is non-zero); vmid tags its TLB entries.
 	s2   *mmu.Tables
 	vmid uint16
 
-	// virtio is the VM's paravirtual device instance.
-	virtio *vmVirtio
+	// echo is the virtio device's backend (present iff the vmEcho word is
+	// set).
+	echo *virtio.Echo
 
-	// gicShadow backs the read-only Stage-2 mapping of the GICH window
+	// gicShadowOwn backs the read-only Stage-2 mapping of the GICH window
 	// under NEVE with a GICv2 interface: reads of the hypervisor control
 	// interface hit this page without faulting, writes fault and are
 	// emulated — the memory-mapped equivalent of the cached-copy
-	// treatment. gicShadowOwn is the manager-space address, gicShadow the
-	// machine view for refreshes.
+	// treatment. gicShadowOwn is the manager-space address; the machine
+	// view, used for refreshes, is the vmGICShadow word (0 when the VM
+	// has no shadow page).
 	gicShadowOwn mem.Addr
-	gicShadow    mem.Addr
 }
 
 // VCPU is one virtual CPU of a VM, pinned to a physical core (the paper's
@@ -77,8 +85,7 @@ type VCPU struct {
 
 	// VEL2 is the virtual EL2 state when this vCPU runs a guest
 	// hypervisor: the trap-and-emulate backing store of Section 4.
-	VEL2   Context
-	InVEL2 bool
+	VEL2 Context
 
 	// VirtEL1 is the virtual EL1 state of the vCPU's nested VM while the
 	// guest hypervisor runs, maintained in hypervisor memory under
@@ -99,34 +106,24 @@ type VCPU struct {
 	// register, like every other saved context.
 	PageCtx Context
 
-	// pendingVIRQ is the software-pending virtual interrupt queue of the
-	// managing hypervisor's virtual distributor.
-	pendingVIRQ []int
-
-	// pendingEntry, when non-nil, is an exit the managing hypervisor has
-	// forwarded into this vCPU's virtual EL2 vector and that must run when
-	// the vCPU is next entered (recursive nesting, Section 6.2).
-	pendingEntry *arm.Exception
+	// st is the vCPU's state file (vc* words in files.go, accessors
+	// there): list register bookkeeping, the vEL2 and power flags, the
+	// virtual x0, the pending vector entry flag, table roots and cursors,
+	// and the software-pending virtual interrupt queue of the managing
+	// hypervisor's virtual distributor (spilling into virqSpill).
+	st        [vcpuWords]uint64
+	jt        *jit.FileTap
+	virqSpill []int
+	// entry is the payload of the pending virtual vector entry.
+	entry arm.Exception
 
 	// Guest is the OS/application software of this vCPU (nil when the
 	// vCPU's software is a hypervisor, which runs only via vector entry).
 	Guest *GuestCtx
 
 	// shadowS2 is the collapsed Stage-2 tree built by the manager when
-	// this vCPU runs a nested VM.
+	// this vCPU runs a nested VM (present iff vcShadowRoot is non-zero).
 	shadowS2 *mmu.Tables
-
-	// dirtyLRs is how many list registers the managing hypervisor's vgic
-	// currently considers live and re-programs on entry (KVM only writes
-	// used list registers).
-	dirtyLRs int
-
-	// x0 is the virtual first argument/return register: MMIO emulation
-	// results and PSCI arguments travel through it.
-	x0 uint64
-
-	// Online reports whether the vCPU has been powered on (PSCI).
-	Online bool
 }
 
 func (v *VCPU) String() string {
@@ -145,10 +142,12 @@ type GuestCtx struct {
 	// IRQCount counts delivered virtual interrupts (used by workloads).
 	IRQCount uint64
 
-	// s1 is the guest OS's own Stage-1 page table tree (EnableStage1).
+	// s1 is the guest OS's own Stage-1 page table tree (EnableStage1;
+	// present iff the vCPU's vcS1Root word is non-zero).
 	s1 *mmu.Tables
 
-	// vq is the guest's virtio driver state (VirtioInit).
+	// vq is the guest's virtio driver state (VirtioInit; present iff the
+	// vCPU's vcRingBase word is non-zero).
 	vq *virtio.Driver
 }
 
@@ -205,8 +204,8 @@ func (g *GuestCtx) OnIRQ(fn func(intid int)) { g.irqHandler = fn }
 // completes the interrupt — without hypervisor involvement (Section 2).
 func (g *GuestCtx) HandleVIRQ(c *arm.CPU, intid int) {
 	// Delivery runs an arbitrary guest handler (workload closures whose
-	// captured state is outside the JIT walk), so a recording that reaches
-	// it cannot be promoted.
+	// captured state no JIT file tracks), so a recording that reaches it
+	// cannot be promoted.
 	c.JITPoison()
 	got := c.MRS(arm.ICC_IAR1_EL1)
 	c.Work(40) // generic kernel IRQ entry/dispatch

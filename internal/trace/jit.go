@@ -168,7 +168,7 @@ func (c *Collector) ApplyCounterDelta(d *CounterDelta) {
 
 // JITMode packs the collector configuration bits that change what Trap()
 // does — and therefore what a super-op's counter delta must reproduce —
-// into one word the JIT walks as a structural guard.
+// into one word the JIT pins as its generation (jit.Hooks.Gen).
 func (c *Collector) JITMode() uint64 {
 	if c == nil {
 		return 0
