@@ -6,7 +6,7 @@
 // of N interpreted traps.
 //
 // All replay-relevant machine state lives in small fixed register files
-// registered with the engine (RegisterFile), and every access to them
+// registered with the engine (TapFor), and every access to them
 // funnels through the file's FileTap. Correctness rests on one invariant: a
 // super-op replays if and only if every tracked word its recording read
 // still holds the value it read (the read set — nothing else is compared,
@@ -250,18 +250,15 @@ func (e *Engine) setQuiet(v bool) {
 	}
 }
 
-// RegisterFile registers a register file for read/write-set tracking.
-// The file's accessors report reads and writes through a FileTap during
+// register adds f to the tracked files for read/write-set tracking: the
+// file's accessors report reads and writes through a FileTap during
 // recordings, so a super-op guards exactly the words it read and restores
 // exactly the words it wrote. Every access path to the file must funnel
-// through the tap.
-func (e *Engine) RegisterFile(f []uint64) FileID { return e.register(f, false) }
-
-// register adds f to the tracked files. A read-only file may be guarded
-// but never restored: a read records a value guard as usual, while a write
-// (or a copy into it) poisons the recording. Per-vCPU shard engines
-// register machine-shared files this way, so a shard's replay only ever
-// writes words its vCPU owns.
+// through the tap. A read-only file may be guarded but never restored: a
+// read records a value guard as usual, while a write (or a copy into it)
+// poisons the recording. Per-vCPU shard engines register machine-shared
+// files this way, so a shard's replay only ever writes words its vCPU
+// owns.
 func (e *Engine) register(f []uint64, ro bool) FileID {
 	if len(f) == 0 || len(f) > maxFileWords {
 		panic("jit: register file size unsupported for tracking")
@@ -290,8 +287,7 @@ func (e *Engine) register(f []uint64, ro bool) FileID {
 // zero for an unregistered array.
 func (e *Engine) FileByBase(p *uint64) FileID { return e.fileBases[p] }
 
-// Tap returns the read/write notifier for a registered file.
-func (e *Engine) Tap(id FileID) *FileTap { return &FileTap{e: e, id: id, q: e.quiet[id-1]} }
+func (e *Engine) tap(id FileID) *FileTap { return &FileTap{e: e, id: id, q: e.quiet[id-1]} }
 
 // TapFor returns e's tap for file f, registering it on first use (read-only
 // when ro; see register) and reusing the existing ID thereafter: an owner
@@ -303,7 +299,7 @@ func (e *Engine) TapFor(f []uint64, ro bool) *FileTap {
 	if id == 0 {
 		id = e.register(f, ro)
 	}
-	return e.Tap(id)
+	return e.tap(id)
 }
 
 // FileTap is the per-file access notifier a tracked file's accessors

@@ -84,8 +84,8 @@ func newFake(t *testing.T, threshold int, o fakeOpts) *fakeMachine {
 		}
 	}
 	m.eng = New(threshold, hooks)
-	m.tap = m.eng.Tap(m.eng.RegisterFile(m.file[:]))
-	m.wtap = m.eng.Tap(m.eng.RegisterFile(m.words[:]))
+	m.tap = m.eng.TapFor(m.file[:], false)
+	m.wtap = m.eng.TapFor(m.words[:], false)
 	return m
 }
 
