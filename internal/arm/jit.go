@@ -48,7 +48,12 @@ func (c *CPU) setWord(i int, v uint64) {
 	c.st[i] = v
 }
 
-func (c *CPU) el() EL { return EL(c.word(stMode) & modeELMask) }
+// el is the hottest state read (every register access): written out
+// rather than through word so it stays within the inlining budget.
+func (c *CPU) el() EL {
+	c.stTap.Read(stMode)
+	return EL(c.st[stMode] & modeELMask)
+}
 
 func (c *CPU) level() VLevel { return VLevel(c.word(stMode) & modeLevelMask >> modeLevelShift) }
 

@@ -317,16 +317,27 @@ type FileTap struct {
 // accessors read the same few words many times per sequence.
 func (t *FileTap) Read(idx int) {
 	if t != nil && !t.q[idx] {
-		t.e.FileRead(t.id, idx)
+		t.read(idx)
 	}
 }
+
+// read is Read's recording path, kept out of line so Read and the state
+// accessors that call it stay within the inlining budget.
+//
+//go:noinline
+func (t *FileTap) read(idx int) { t.e.FileRead(t.id, idx) }
 
 // Write reports a write of word idx.
 func (t *FileTap) Write(idx int) {
 	if t != nil && t.e.rec != nil {
-		t.e.FileWrite(t.id, idx)
+		t.write(idx)
 	}
 }
+
+// write is Write's recording path, out of line like read.
+//
+//go:noinline
+func (t *FileTap) write(idx int) { t.e.FileWrite(t.id, idx) }
 
 // Poison marks the active recording non-promotable: the file's owner
 // touched state it cannot express as tracked words (a queue spill, a
