@@ -93,13 +93,17 @@ jit-param-smoke:
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
 # memory/TLB fast paths, the 16 MiB Stage-2 linear map build (with
 # allocation counts), the trap hot path, a replayed nested hypercall (the
-# JIT hit path), the trace collector, and the end-to-end experiment cells.
+# JIT hit path) and a recorded and promoted one (the JIT record path), the
+# trace collector, and the end-to-end experiment sweeps: once from a fresh
+# runner (build and boot included) and once per pass on a warm persistent
+# runner, JIT on and off, with allocations per pass.
 bench:
 	$(GO) test -run=NONE -bench 'BenchmarkMemoryReadWrite|BenchmarkTLB|BenchmarkStage2Map' -benchmem ./internal/mem/ ./internal/mmu/
 	$(GO) test -run=NONE -bench 'BenchmarkTrap|BenchmarkMSRFastPath' ./internal/arm/
-	$(GO) test -run=NONE -bench 'BenchmarkJITHit' -benchmem ./internal/kvm/
+	$(GO) test -run=NONE -bench 'BenchmarkJITHit|BenchmarkJITRecord' -benchmem ./internal/kvm/
 	$(GO) test -run=NONE -bench 'BenchmarkCollectorTrap' ./internal/trace/
-	$(GO) test -run=NONE -bench 'BenchmarkFig2|BenchmarkMicro' -benchtime 1x ./internal/bench/
+	$(GO) test -run=NONE -bench 'Benchmark(Fig2|Micro)(Sequential|Parallel)' -benchtime 1x ./internal/bench/
+	$(GO) test -run=NONE -bench 'Benchmark(Fig2|Micro)Warm' -benchmem ./internal/bench/
 
 # One-iteration pass over every benchmark: cheap CI proof that they run.
 bench-smoke:

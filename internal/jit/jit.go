@@ -1,6 +1,6 @@
 // Package jit is the trace-JIT layer: it records hot trap/world-switch
 // sequences as they execute interpreted, promotes causes that recur above a
-// threshold into super-ops — a precomputed aggregate state delta (register
+// threshold into super-ops — the sequence's net state change (register
 // writes, cycle charges, trace-counter increments) validated against a guard
 // vector of preconditions — and replays them with a single dispatch instead
 // of N interpreted traps.
@@ -17,9 +17,11 @@
 // the recording (enforced by poisoning: memory, device, and TLB mutation
 // hooks armed for the duration of a recording mark it non-promotable, as do
 // accesses to an unregistered file, a write to a read-only file, and any
-// state a file's owner declares inexpressible). Replay then restores
-// exactly the recording's write set. On any guard mismatch the trap runs
-// interpreted with zero behavioral difference.
+// state a file's owner declares inexpressible). Replay then restores the
+// recording's net write set: every written word whose final value the
+// guards do not already imply. A word the sequence wrote back to the value
+// it read (a guarded save/restore round trip) is not rewritten. On any
+// guard mismatch the trap runs interpreted with zero behavioral difference.
 //
 // The guard vector is split: alongside the value guards, a recording may
 // carry parameter slots — words the recorded sequence consumed without
@@ -33,7 +35,9 @@
 // soundly: the moment the interpreted sequence observes a parameter word
 // through any read tap — directly, or through a word derived from it — the
 // parameter is upgraded back to a value guard of the origin word, pinning
-// every derived value the sequence could have branched on.
+// every derived value the sequence could have branched on. A move whose
+// origin is its own destination (a context saved and restored unobserved)
+// leaves the word as it was and is not replayed.
 package jit
 
 import (
@@ -253,7 +257,7 @@ func (e *Engine) setQuiet(v bool) {
 // register adds f to the tracked files for read/write-set tracking: the
 // file's accessors report reads and writes through a FileTap during
 // recordings, so a super-op guards exactly the words it read and restores
-// exactly the words it wrote. Every access path to the file must funnel
+// the words it changed. Every access path to the file must funnel
 // through the tap. A read-only file may be guarded but never restored: a
 // read records a value guard as usual, while a write (or a copy into it)
 // poisons the recording. Per-vCPU shard engines register machine-shared
@@ -560,30 +564,43 @@ func (e *Engine) LogPred(p Pred, covers ...FileRef) {
 		}
 	}
 	rec.preds = append(rec.preds, p)
-	rec.pwords = append(rec.pwords, covers...)
+	rec.covers = append(rec.covers, covers...)
 }
 
-// superOp is the compiled form of one recorded trap sequence.
+// superOp is the compiled form of one recorded trap sequence: its net
+// effect. Replay lists hold only slots that can change state — a move
+// that copies a word onto itself, and a constant write of the value the
+// read set already pins on the same word, are dropped at promotion.
 type superOp struct {
 	exc [ExcWords]uint64
 	// gen is the Hooks.Gen value the recording ran under.
-	gen     uint64
-	freads  []ptrWord
+	gen uint64
+	// freads is the read set, guarded on every replay. Its last npinned
+	// entries double as the constant writes dropped at promotion: words
+	// the sequence wrote back to the value it read, which a passing guard
+	// already proves they hold (the moves never write them, since move
+	// destinations and constant-write words are disjoint). Chain eviction
+	// reads them as part of the write set; replay skips them.
+	freads []ptrWord
+	// fwrites are the constant writes that change a word. They share one
+	// backing array with freads.
 	fwrites []ptrWord
+	npinned int32
+	// param is set when the recording was parameterized — it had moves or
+	// predicates before the dropped slots were filtered — which keeps the
+	// op out of reach of chain eviction as a superseded variant.
+	param bool
 	// moves are the parameter slots: replay assigns *dst = *src + imm in
 	// recorded (program) order, reading live source values, before the
 	// constant fwrites — so every move source still holds its pre-replay
 	// value when read, matching the interpreted sequence, which read each
-	// source before writing it.
+	// source before writing it. A surviving move is the only writer of its
+	// destination, so a self-move with imm 0 is a no-op and is not kept.
 	moves []moveOp
 	// preds are the replay predicates (LogPred); slack is the recorded
 	// cycle advance of the dispatching core, passed to each predicate.
-	preds []Pred
-	slack uint64
-	// pwords are the parameterized words — move sources and predicate-
-	// covered words — used by chain eviction to recognize an older
-	// variant's value guard that this variant supersedes.
-	pwords []*uint64
+	preds  []Pred
+	slack  uint64
 	probes []Probe
 	// tlbGen is the TLB generation at which probes were last known valid;
 	// replay re-validates them only when the live generation differs.
@@ -593,6 +610,9 @@ type superOp struct {
 	retVal uint64
 	next   *superOp
 }
+
+// pinned returns the constant writes dropped at promotion (see freads).
+func (op *superOp) pinned() []ptrWord { return op.freads[len(op.freads)-int(op.npinned):] }
 
 // entry is the recorder's per-(cpu, cause) bookkeeping.
 type entry struct {
@@ -614,7 +634,7 @@ type recording struct {
 	params     []paramSrc
 	moves      []recMove
 	preds      []Pred
-	pwords     []FileRef
+	covers     []FileRef
 	probes     []Probe
 	poisoned   bool
 }
@@ -654,17 +674,18 @@ type Engine struct {
 	int32s slab[int32]
 	// marks is the per-core clock snapshot taken when a recording begins.
 	marks []ClockState
-	// Recording scratch, reused across recordings (one is in flight at a
-	// time): file read/write sets, parameters, predicates, probes, and
-	// transient words. Promotion copies what a super-op keeps, so failed
-	// and poisoned recordings allocate nothing.
-	sfreads, sfwrites []fileWord
-	stransients       []FileRef
-	sparams           []paramSrc
-	smoves            []recMove
-	spreds            []Pred
-	spwords           []FileRef
-	sprobes           []Probe
+	// recBuf is the one recording the engine reuses (one is in flight at a
+	// time), so its lists keep their storage from one recording to the
+	// next. Promotion copies what a super-op keeps, into exactly sized
+	// lists; promotion's own scratch (every surviving move before the
+	// no-op filter, the parameterized words, the clock deltas and the
+	// counter delta) is reused the same way. Failed and poisoned
+	// recordings allocate nothing.
+	recBuf  recording
+	sall    []moveOp
+	spwords []*uint64
+	sclocks []ClockDelta
+	sdelta  trace.CounterDelta
 
 	// asyncPoison is the cross-goroutine poison flag for per-vCPU shard
 	// engines: a sibling vCPU that mutates state outside every shard's
@@ -844,15 +865,20 @@ func (e *Engine) beginRecord(cpu int, exc *[ExcWords]uint64, ent *entry) {
 		atomic.AddInt64(e.recGauge, 1)
 	}
 	e.asyncPoison.Store(false)
-	rec := &recording{cpu: cpu, exc: *exc, ent: ent}
-	rec.freads = e.sfreads[:0]
-	rec.fwrites = e.sfwrites[:0]
-	rec.params = e.sparams[:0]
-	rec.moves = e.smoves[:0]
-	rec.preds = e.spreds[:0]
-	rec.pwords = e.spwords[:0]
-	rec.probes = e.sprobes[:0]
-	rec.transients = e.stransients[:0]
+	rec := &e.recBuf
+	*rec = recording{
+		cpu:        cpu,
+		exc:        *exc,
+		ent:        ent,
+		transients: rec.transients[:0],
+		freads:     rec.freads[:0],
+		fwrites:    rec.fwrites[:0],
+		params:     rec.params[:0],
+		moves:      rec.moves[:0],
+		preds:      rec.preds[:0],
+		covers:     rec.covers[:0],
+		probes:     rec.probes[:0],
+	}
 	e.setQuiet(false)
 	for i := range e.rdSeen {
 		e.rdSeen[i] = [2]uint64{}
@@ -899,8 +925,8 @@ func (e *Engine) EndRecord(retVal uint64) {
 	// are reset on every path too, but only after promotion has read them.
 	defer e.hooks.Trace.AbortCounterLog()
 	defer e.resetProv(rec)
-	// Reclaim the recording's scratch (the appends may have regrown it).
-	e.reclaimScratch(rec)
+	// Silence every read tap until the next recording begins.
+	e.setQuiet(true)
 	if rec.poisoned {
 		rec.ent.poison++
 		return
@@ -915,7 +941,7 @@ func (e *Engine) EndRecord(retVal uint64) {
 			return
 		}
 	}
-	var clocks []ClockDelta
+	clocks := e.sclocks[:0]
 	for i := 0; i < e.hooks.NumCPUs; i++ {
 		now := e.hooks.ClockState(i)
 		pre := e.marks[i]
@@ -939,56 +965,116 @@ func (e *Engine) EndRecord(retVal uint64) {
 		}
 		clocks = append(clocks, d)
 	}
-	td := new(trace.CounterDelta)
+	e.sclocks = clocks
+	td := &e.sdelta
 	if !e.hooks.Trace.EndCounterLog(td) {
 		rec.ent.poison++
 		return
 	}
-	freads := make([]ptrWord, len(rec.freads))
-	for i := range rec.freads {
-		g := &rec.freads[i]
-		freads[i] = ptrWord{p: &e.files[g.f-1][g.idx], val: g.val}
-	}
-	// Compile the split guard vector: each recorded move whose word it was
-	// the final writer of, and whose parameter stayed unobserved, promotes
-	// to a replayed move; everything else written falls back to a constant
-	// harvested from the file (for an upgraded parameter the origin guard
-	// pins the copied value, so the constant is exact).
-	var moves []moveOp
-	var pwords []*uint64
+	e.promote(rec, retVal, clocks, td)
+}
+
+// constWrite reports whether the recording's final write to tracked word
+// (f, idx) replays as a constant: the word was plain-written, or its last
+// writer was a move whose parameter the sequence observed (the origin guard
+// then pins the copied value, so the harvested constant is exact). A word
+// whose last writer is a move on an unobserved parameter replays as that
+// move instead.
+func (e *Engine) constWrite(rec *recording, f FileID, idx int32) bool {
+	pv := e.prov[f-1][idx]
+	return pv < 0 || pv > 0 && rec.params[rec.moves[pv-1].param].guarded
+}
+
+// promote compiles a finished, promotable recording into a super-op holding
+// its net state change and links it at the front of its cause's chain. Each
+// list is counted first and then allocated at its exact length.
+func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td *trace.CounterDelta) {
+	// The split guard vector's parameter side: each recorded move that was
+	// the final writer of its word, and whose parameter stayed unobserved,
+	// survives as a move. all holds every survivor and pwords every
+	// parameterized word (move sources and predicate-covered words), both
+	// for chain eviction; replay keeps only the moves that change a word.
+	all := e.sall[:0]
+	pwords := e.spwords[:0]
+	nmoves := 0
 	for i := range rec.moves {
 		m := &rec.moves[i]
 		if e.prov[m.dstF-1][m.dstIdx] != int32(i+1) || rec.params[m.param].guarded {
 			continue
 		}
 		p := &rec.params[m.param]
-		src := &e.files[p.f-1][p.idx]
-		moves = append(moves, moveOp{src: src, dst: &e.files[m.dstF-1][m.dstIdx], imm: m.imm})
-		pwords = append(pwords, src)
+		mv := moveOp{src: &e.files[p.f-1][p.idx], dst: &e.files[m.dstF-1][m.dstIdx], imm: m.imm}
+		if mv.src != mv.dst || mv.imm != 0 {
+			nmoves++
+		}
+		all = append(all, mv)
+		pwords = append(pwords, mv.src)
 	}
-	for i := range rec.pwords {
-		r := &rec.pwords[i]
+	for i := range rec.covers {
+		r := &rec.covers[i]
 		pwords = append(pwords, &e.files[r.F-1][r.Idx])
 	}
-	fwrites := make([]ptrWord, 0, len(rec.fwrites))
-	for i := range rec.fwrites {
-		fw := &rec.fwrites[i]
-		if pv := e.prov[fw.f-1][fw.idx]; pv > 0 && !rec.params[rec.moves[pv-1].param].guarded {
-			continue // replayed as a move
+	e.sall, e.spwords = all, pwords
+	// The constant side: a word written back to the value the read set
+	// guards on it is pinned, and its write is dropped.
+	npinned, nconst := 0, 0
+	for i := range rec.freads {
+		g := &rec.freads[i]
+		if e.constWrite(rec, g.f, g.idx) && e.files[g.f-1][g.idx] == g.val {
+			npinned++
 		}
-		p := &e.files[fw.f-1][fw.idx]
-		fwrites = append(fwrites, ptrWord{p: p, val: *p})
+	}
+	for i := range rec.fwrites {
+		if fw := &rec.fwrites[i]; e.constWrite(rec, fw.f, fw.idx) {
+			nconst++
+		}
+	}
+	nr := len(rec.freads)
+	words := make([]ptrWord, nr+nconst-npinned)
+	freads, fwrites := words[:nr:nr], words[nr:]
+	// Stable partition of the read set, pinned guards last. A pinned word's
+	// provenance is cleared so the write-set pass below skips it.
+	j, k := 0, nr-npinned
+	for i := range rec.freads {
+		g := &rec.freads[i]
+		pw := ptrWord{p: &e.files[g.f-1][g.idx], val: g.val}
+		if e.constWrite(rec, g.f, g.idx) && *pw.p == g.val {
+			e.prov[g.f-1][g.idx] = 0
+			freads[k] = pw
+			k++
+		} else {
+			freads[j] = pw
+			j++
+		}
+	}
+	j = 0
+	for i := range rec.fwrites {
+		if fw := &rec.fwrites[i]; e.constWrite(rec, fw.f, fw.idx) {
+			p := &e.files[fw.f-1][fw.idx]
+			fwrites[j] = ptrWord{p: p, val: *p}
+			j++
+		}
+	}
+	var moves []moveOp
+	if nmoves > 0 {
+		moves = make([]moveOp, 0, nmoves)
+		for _, mv := range all {
+			if mv.src != mv.dst || mv.imm != 0 {
+				moves = append(moves, mv)
+			}
+		}
 	}
 	op := &superOp{
 		exc:     rec.exc,
 		gen:     rec.gen,
 		freads:  freads,
 		fwrites: fwrites,
+		npinned: int32(npinned),
+		param:   len(all)+len(rec.preds) > 0,
 		moves:   moves,
-		preds:   append([]Pred(nil), rec.preds...),
-		pwords:  pwords,
-		probes:  append([]Probe(nil), rec.probes...),
-		clocks:  clocks,
+		preds:   slices.Clone(rec.preds),
+		probes:  slices.Clone(rec.probes),
+		clocks:  slices.Clone(clocks),
 		retVal:  retVal,
 		next:    rec.ent.ops,
 	}
@@ -1003,24 +1089,14 @@ func (e *Engine) EndRecord(retVal uint64) {
 		op.tlbGen = e.hooks.TLBGen()
 	}
 	if !td.Empty() {
-		op.tdelta = td
+		op.tdelta = td.Clone()
 	}
 	rec.ent.ops = op
 	rec.ent.nops++
 	rec.ent.count = 0
-	if len(op.moves)+len(op.preds) > 0 {
-		e.evictSuperseded(rec.ent, op)
+	if op.param {
+		e.evictSuperseded(rec.ent, op, all, pwords)
 	}
-}
-
-// reclaimScratch hands a finished recording's list storage back to the
-// engine for the next recording, and silences every read tap until the
-// next recording begins.
-func (e *Engine) reclaimScratch(rec *recording) {
-	e.setQuiet(true)
-	e.sfreads, e.sfwrites, e.sprobes = rec.freads[:0], rec.fwrites[:0], rec.probes[:0]
-	e.stransients = rec.transients[:0]
-	e.sparams, e.smoves, e.spreds, e.spwords = rec.params[:0], rec.moves[:0], rec.preds[:0], rec.pwords[:0]
 }
 
 // resetProv clears the provenance tables entry-by-entry from the
@@ -1057,7 +1133,7 @@ func (e *Engine) AbortRecord() {
 		atomic.AddInt64(e.recGauge, -1)
 	}
 	e.hooks.Trace.AbortCounterLog()
-	e.reclaimScratch(rec)
+	e.setQuiet(true)
 	e.resetProv(rec)
 	rec.ent.poison++
 }
@@ -1112,15 +1188,14 @@ func (e *Engine) LogProbe(vmid uint16, ia, pa, perm uint64, hit bool) {
 	rec.probes = append(rec.probes, Probe{VMID: vmid, IA: ia, PA: pa, Perm: perm})
 }
 
-// Quiesce aborts any in-flight recording and keeps the compiled cache;
-// snapshot restore calls it. A restore swaps state under an active
-// recording's feet invisibly to the poison taps, so the capture must be
-// discarded (without charging the cause — the recording did nothing
-// wrong). The compiled super-ops survive: their guards are pure value
-// preconditions re-validated against live state on every dispatch, so an
-// op whose preconditions no longer hold bails to the interpreter, while
-// one whose preconditions recur after the restore — the entire point of
-// a warm-boot sweep re-entering the same states — replays soundly.
+// Quiesce aborts any in-flight recording and keeps the compiled cache; the
+// SMP engine calls it when it detaches a vCPU's shard engine at the end of
+// a run (snapshot restore calls Reset instead). The capture is discarded
+// without charging the cause — the recording did nothing wrong, it was
+// only cut short. The compiled super-ops survive: their guards are pure
+// value preconditions re-validated against live state on every dispatch,
+// so an op whose preconditions no longer hold bails to the interpreter,
+// while one whose preconditions recur in the next run replays soundly.
 func (e *Engine) Quiesce() {
 	rec := e.rec
 	if rec == nil {
@@ -1135,7 +1210,7 @@ func (e *Engine) Quiesce() {
 		atomic.AddInt64(e.recGauge, -1)
 	}
 	e.hooks.Trace.AbortCounterLog()
-	e.reclaimScratch(rec)
+	e.setQuiet(true)
 	e.resetProv(rec)
 }
 
@@ -1167,11 +1242,13 @@ func (e *Engine) Entries() (causes, ops int) {
 // never match again once the value moves on, but it still costs a failed
 // guard check on every dispatch and crowds the chain toward maxChain.
 // Eviction is always correctness-safe (dropping a cached super-op only
-// costs a future miss), so the comparator may be conservative.
-func (e *Engine) evictSuperseded(ent *entry, op *superOp) {
+// costs a future miss), so the comparator may be conservative. all and
+// pwords are op's promotion scratch: every surviving move, including the
+// no-op self-moves replay drops, and every parameterized word.
+func (e *Engine) evictSuperseded(ent *entry, op *superOp, all []moveOp, pwords []*uint64) {
 	var prev *superOp
 	for v := ent.ops; v != nil; {
-		if v == op || !supersedes(op, v) {
+		if v == op || !supersedes(op, v, all, pwords) {
 			prev, v = v, v.next
 			continue
 		}
@@ -1191,9 +1268,11 @@ func (e *Engine) evictSuperseded(ent *entry, op *superOp) {
 // probes, counters, return value), with v's extra value guards falling only
 // on words op treats as parameters. Every state v would replay in, op
 // replays in too — op's predicates re-validate exactly the conditions v's
-// stale value guards once pinned.
-func supersedes(op, v *superOp) bool {
-	if len(v.moves) != 0 || len(v.preds) != 0 || v.exc != op.exc || v.retVal != op.retVal || v.gen != op.gen {
+// stale value guards once pinned. The write sets compared are the
+// unfiltered ones: the constant writes with the pinned write-backs, and
+// all of op's moves, so dropping no-op slots changes no answer.
+func supersedes(op, v *superOp, all []moveOp, pwords []*uint64) bool {
+	if v.param || v.exc != op.exc || v.retVal != op.retVal || v.gen != op.gen {
 		return false
 	}
 	if !slices.Equal(v.clocks, op.clocks) || !slices.Equal(v.probes, op.probes) {
@@ -1216,45 +1295,58 @@ func supersedes(op, v *superOp) bool {
 		if containsGuard(op.freads, v.freads[i]) {
 			continue
 		}
-		if !slices.Contains(op.pwords, v.freads[i].p) {
+		if !slices.Contains(pwords, v.freads[i].p) {
 			return false
 		}
 	}
 	// Same written-word set: op's constants must match v's exactly, and
 	// v's surplus constant writes must be words op writes as moves.
-	for i := range op.fwrites {
-		if !containsGuard(v.fwrites, op.fwrites[i]) {
-			return false
-		}
-	}
-	for i := range v.fwrites {
-		if containsGuard(op.fwrites, v.fwrites[i]) {
-			continue
-		}
-		covered := false
-		for j := range op.moves {
-			if op.moves[j].dst == v.fwrites[i].p {
-				covered = true
-				break
+	for _, ws := range [2][]ptrWord{op.fwrites, op.pinned()} {
+		for i := range ws {
+			if !writesConst(v, ws[i]) {
+				return false
 			}
 		}
-		if !covered {
-			return false
-		}
 	}
-	for j := range op.moves {
-		found := false
-		for i := range v.fwrites {
-			if v.fwrites[i].p == op.moves[j].dst {
-				found = true
-				break
+	for _, ws := range [2][]ptrWord{v.fwrites, v.pinned()} {
+		for i := range ws {
+			if writesConst(op, ws[i]) {
+				continue
+			}
+			if !movesTo(all, ws[i].p) {
+				return false
 			}
 		}
-		if !found {
+	}
+	for j := range all {
+		if !writesWord(v.fwrites, all[j].dst) && !writesWord(v.pinned(), all[j].dst) {
 			return false
 		}
 	}
 	return true
+}
+
+func movesTo(moves []moveOp, p *uint64) bool {
+	for i := range moves {
+		if moves[i].dst == p {
+			return true
+		}
+	}
+	return false
+}
+
+func writesWord(s []ptrWord, p *uint64) bool {
+	for i := range s {
+		if s[i].p == p {
+			return true
+		}
+	}
+	return false
+}
+
+// writesConst reports whether op's unfiltered constant writes include g.
+func writesConst(op *superOp, g ptrWord) bool {
+	return containsGuard(op.fwrites, g) || containsGuard(op.pinned(), g)
 }
 
 func containsGuard(s []ptrWord, g ptrWord) bool {

@@ -388,8 +388,8 @@ func TestNestedDispatchMisses(t *testing.T) {
 	}
 }
 
-// TestQuiesceAndReset pins the snapshot-restore contract: Quiesce aborts
-// an in-flight recording without charging the cause and keeps the
+// TestQuiesceAndReset pins the detach and invalidation contracts: Quiesce
+// aborts an in-flight recording without charging the cause and keeps the
 // compiled cache; Reset drops cache and statistics.
 func TestQuiesceAndReset(t *testing.T) {
 	m := newFake(t, 1, fakeOpts{})
@@ -903,5 +903,214 @@ func TestTransientWord(t *testing.T) {
 	m.trap(25, raise(true))
 	if _, ops := m.eng.Entries(); ops != 1 {
 		t.Fatalf("recording that cleared its transient was not promoted")
+	}
+}
+
+// head returns the front super-op of cause exc on core 0.
+func (m *fakeMachine) head(exc uint64) *superOp {
+	var ew [ExcWords]uint64
+	ew[0] = exc
+	if ent := m.eng.entries[hashExc(0, &ew)]; ent != nil {
+		return ent.ops
+	}
+	return nil
+}
+
+// TestRoundTripNoMoves pins the net-effect compile of a context round
+// trip: a register saved into a context slot and restored from it replays
+// no move for the register (its move would copy the word onto itself). A
+// slot the sequence scrubs afterwards leaves no move at all, and a slot it
+// keeps leaves only the save. Either way replay leaves the live register
+// value in place and the slot as the interpreted sequence would.
+func TestRoundTripNoMoves(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		scrub bool
+		moves int
+	}{
+		{"scrubbed-slot", true, 0},
+		{"kept-slot", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newFake(t, 1, fakeOpts{})
+			handler := func() uint64 {
+				CopyWord(m.tap, 2, m.tap, 8) // save
+				m.file[8] = m.file[2]
+				m.file[2] = 0xdead // the other world runs
+				m.tap.Write(2)
+				CopyWord(m.tap, 8, m.tap, 2) // restore
+				m.file[2] = m.file[8]
+				if tc.scrub {
+					m.file[8] = 0
+					m.tap.Write(8)
+				}
+				return 0
+			}
+			m.file[2] = 100
+			m.trap(40, handler) // Record
+			op := m.head(40)
+			if op == nil || len(op.moves) != tc.moves {
+				t.Fatalf("promoted op replays %d moves, want %d", len(op.moves), tc.moves)
+			}
+			for _, v := range []uint64{100, 200} {
+				m.file[2] = v
+				if _, st := m.trap(40, handler); st != Hit {
+					t.Fatalf("round trip did not hit at register=%d", v)
+				}
+				want8 := v
+				if tc.scrub {
+					want8 = 0
+				}
+				if m.file[2] != v || m.file[8] != want8 {
+					t.Fatalf("replay left file[2]=%d file[8]=%d, want %d/%d", m.file[2], m.file[8], v, want8)
+				}
+			}
+		})
+	}
+}
+
+// TestPinnedWriteDropped pins which slots the net-effect compile drops: a
+// write of the value the read set pins on the same word is not replayed
+// (its guard already proves it holds), while a write that changes the word
+// and a self-move with a non-zero immediate are kept.
+func TestPinnedWriteDropped(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	fid := m.eng.FileByBase(&m.file[0])
+	handler := func() uint64 {
+		m.tap.Read(3) // guarded at 7 ...
+		m.file[3] = 9
+		m.tap.Write(3)
+		m.file[3] = 7 // ... and written back: pinned, dropped
+		m.tap.Write(3)
+		m.tap.Read(4) // guarded at 1, written to 5: kept
+		m.file[4] = 5
+		m.tap.Write(4)
+		m.file[6]++ // self-move with imm 1: kept
+		m.eng.FileCopy(fid, 6, fid, 6, 1)
+		return 0
+	}
+	m.file[3], m.file[4], m.file[6] = 7, 1, 10
+	m.trap(41, handler) // Record
+	op := m.head(41)
+	if len(op.fwrites) != 1 || op.fwrites[0].p != &m.file[4] || op.fwrites[0].val != 5 {
+		t.Fatalf("fwrites = %+v, want only file[4]=5", op.fwrites)
+	}
+	if pin := op.pinned(); len(pin) != 1 || pin[0].p != &m.file[3] || pin[0].val != 7 {
+		t.Fatalf("pinned = %+v, want file[3]=7", pin)
+	}
+	if len(op.moves) != 1 || op.moves[0].src != &m.file[6] || op.moves[0].imm != 1 {
+		t.Fatalf("moves = %+v, want the file[6] += 1 self-move", op.moves)
+	}
+	m.file[4] = 1
+	if _, st := m.trap(41, handler); st != Hit {
+		t.Fatalf("replay did not hit")
+	}
+	if m.file[3] != 7 || m.file[4] != 5 || m.file[6] != 12 {
+		t.Fatalf("replay left file[3]=%d file[4]=%d file[6]=%d, want 7/5/12", m.file[3], m.file[4], m.file[6])
+	}
+	m.file[3] = 8 // the pinned word's guard still holds the op
+	if _, st := m.trap(41, handler); st == Hit {
+		t.Fatalf("replay hit over a changed pinned word")
+	}
+}
+
+// TestEvictSupersededNetEffect pins that chain eviction judges the
+// unfiltered recordings, so dropping no-op slots changes no eviction: a
+// parameterized variant whose only move is a dropped self-move still
+// evicts the plain variant whose write-back it covers, and a variant whose
+// only moves were dropped is still parameterized, so it is never evicted
+// as a plain one.
+func TestEvictSupersededNetEffect(t *testing.T) {
+	t.Run("self-move-evicts", func(t *testing.T) {
+		m := newFake(t, 1, fakeOpts{})
+		plain := func() uint64 {
+			m.tap.Read(2)
+			m.tap.Write(2) // write-back: pinned
+			return 0
+		}
+		param := func() uint64 {
+			CopyWord(m.tap, 2, m.tap, 2) // self-move: dropped
+			return 0
+		}
+		m.file[2] = 10
+		m.trap(42, plain)
+		m.file[2] = 11
+		if _, st := m.trap(42, param); st != Record {
+			t.Fatalf("changed source did not bail into a new recording")
+		}
+		if ev := m.eng.Stats().Evictions; ev != 1 {
+			t.Fatalf("Evictions=%d, want the plain write-back variant evicted", ev)
+		}
+		for _, v := range []uint64{10, 12} {
+			m.file[2] = v
+			if _, st := m.trap(42, param); st != Hit || m.file[2] != v {
+				t.Fatalf("surviving variant: status %v file[2]=%d at source=%d", st, m.file[2], v)
+			}
+		}
+	})
+	t.Run("self-move-only-not-plain", func(t *testing.T) {
+		m := newFake(t, 1, fakeOpts{})
+		first := func() uint64 {
+			CopyWord(m.tap, 2, m.tap, 2)
+			m.tap.Read(3)
+			return 0
+		}
+		second := func() uint64 {
+			m.eng.LogPred(func(uint64) bool { return true }, FileRef{F: m.tap.id, Idx: 3})
+			return 0
+		}
+		m.file[3] = 1
+		m.trap(43, first)
+		m.file[3] = 2
+		if _, st := m.trap(43, second); st != Record {
+			t.Fatalf("changed guard did not bail into a new recording")
+		}
+		if ev := m.eng.Stats().Evictions; ev != 0 {
+			t.Fatalf("Evictions=%d: a parameterized variant was evicted as plain", ev)
+		}
+		if _, ops := m.eng.Entries(); ops != 2 {
+			t.Fatalf("chain holds %d ops, want 2", ops)
+		}
+	})
+}
+
+// TestPromotionAllocs bounds the allocations of one promotion. Every list
+// a super-op keeps is allocated once at its exact length; the recording
+// itself, the promotion scratch and the counter aggregation reuse
+// engine-owned storage. A promotion with a guard, a constant write, a
+// move, a predicate, a probe, a clock charge and a counter increment
+// allocates the op, its read/write array, its moves, predicates, probes,
+// clocks, and its counter delta with one list; the chain entry the first
+// sighting creates adds one more.
+func TestPromotionAllocs(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	m.tlb[0x1000] = Probe{PA: 0x2000, Perm: 3}
+	pred := func(uint64) bool { return true }
+	handler := func() uint64 {
+		m.tap.Read(5)
+		m.file[9] = m.file[5] * 2
+		m.tap.Write(9)
+		CopyWord(m.tap, 2, m.tap, 8)
+		m.file[8] = m.file[2]
+		m.eng.LogPred(pred, FileRef{F: m.tap.id, Idx: 3})
+		p := m.tlb[0x1000]
+		m.eng.LogProbe(1, 0x1000, p.PA, p.Perm, true)
+		m.col.Trap(trace.Event{Reason: trace.ReasonHVC, Aux: 3})
+		m.clock.Cycles += 50
+		return 5
+	}
+	m.trap(44, handler) // warm the engine-owned scratch
+	const bound = 9
+	avg := testing.AllocsPerRun(100, func() {
+		m.eng.Reset()
+		if _, st := m.trap(44, handler); st != Record {
+			t.Fatalf("dispatch after Reset did not record")
+		}
+	})
+	if _, ops := m.eng.Entries(); ops != 1 {
+		t.Fatalf("recording did not promote")
+	}
+	if avg > bound {
+		t.Fatalf("one promotion allocates %v times, want <= %d", avg, bound)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // sequence can read or write lives in a small fixed array registered with
 // the trace-JIT engine (see jit.go) and is accessed only through the
 // accessors below, which notify the file's tap. A super-op therefore
-// guards exactly the words its sequence read and restores exactly the
-// words it wrote. State that cannot be a word — lazily created objects, a
+// guards exactly the words its sequence read and restores the words it
+// changed. State that cannot be a word — lazily created objects, a
 // forwarded exit's payload, a queue spill — is flagged by a word instead,
 // and a recording that would have to replay the state itself poisons.
 

@@ -48,6 +48,11 @@ func (s *Stack) InstallJIT(threshold int) {
 	m := s.M
 	tlb := m.S2.TLB
 	var eng *jit.Engine
+	// The taps Arm installs are built once here, not on every recording.
+	poison := func() { eng.Poison() }
+	logProbe := func(vmid uint16, ia, pa mem.Addr, perm mmu.Perm, hit bool) {
+		eng.LogProbe(vmid, uint64(ia), uint64(pa), uint64(perm), hit)
+	}
 	hooks := jit.Hooks{
 		NumCPUs:      len(m.CPUs),
 		ClockState:   func(cpu int) jit.ClockState { return m.CPUs[cpu].JITClockState() },
@@ -62,12 +67,10 @@ func (s *Stack) InstallJIT(threshold int) {
 		Trace:      m.Trace,
 		Gen:        func() uint64 { return m.Trace.JITMode() },
 		Arm: func() {
-			m.Mem.Tap = eng.Poison
-			m.UART.Tap = eng.Poison
-			tlb.OnMutate = eng.Poison
-			tlb.OnLookup = func(vmid uint16, ia, pa mem.Addr, perm mmu.Perm, hit bool) {
-				eng.LogProbe(vmid, uint64(ia), uint64(pa), uint64(perm), hit)
-			}
+			m.Mem.Tap = poison
+			m.UART.Tap = poison
+			tlb.OnMutate = poison
+			tlb.OnLookup = logProbe
 		},
 		Disarm: func() {
 			m.Mem.Tap = nil

@@ -61,6 +61,10 @@ func (s *Stack) newShardEngine(i int) *jit.Engine {
 	c := s.M.CPUs[i]
 	s.smpCols = append(s.smpCols, nil)
 	var eng *jit.Engine
+	poison := func() { eng.Poison() }
+	logProbe := func(vmid uint16, ia, pa mem.Addr, perm mmu.Perm, hit bool) {
+		eng.LogProbe(vmid, uint64(ia), uint64(pa), uint64(perm), hit)
+	}
 	hooks := jit.Hooks{
 		NumCPUs:      1,
 		ClockState:   func(int) jit.ClockState { return c.JITClockState() },
@@ -75,10 +79,8 @@ func (s *Stack) newShardEngine(i int) *jit.Engine {
 		Gen:        func() uint64 { return s.smpCols[i].JITMode() },
 		Arm: func() {
 			tlb := s.smpS2[i].TLB
-			tlb.OnMutate = eng.Poison
-			tlb.OnLookup = func(vmid uint16, ia, pa mem.Addr, perm mmu.Perm, hit bool) {
-				eng.LogProbe(vmid, uint64(ia), uint64(pa), uint64(perm), hit)
-			}
+			tlb.OnMutate = poison
+			tlb.OnLookup = logProbe
 		},
 		Disarm: func() {
 			tlb := s.smpS2[i].TLB

@@ -1,5 +1,7 @@
 package trace
 
+import "slices"
+
 // This file is the trace side of the trace-JIT layer (internal/jit): a
 // super-op must replay the exact counter increments the recorded trap
 // sequence would have produced, so the collector exposes a snapshot
@@ -127,6 +129,13 @@ func (c *Collector) EndCounterLog(d *CounterDelta) bool {
 		}
 	}
 	return true
+}
+
+// Clone returns a copy of d that shares no storage with it, its lists
+// sized to their contents: the JIT aggregates each recording into one
+// reused scratch delta and keeps a clone only when it promotes.
+func (d *CounterDelta) Clone() *CounterDelta {
+	return &CounterDelta{byReason: d.byReason, dense: slices.Clone(d.dense), sparse: slices.Clone(d.sparse)}
 }
 
 // Equal reports whether two deltas describe the same counter increments in
