@@ -1114,3 +1114,28 @@ func TestPromotionAllocs(t *testing.T) {
 		t.Fatalf("one promotion allocates %v times, want <= %d", avg, bound)
 	}
 }
+
+// TestMoveReplayReadsOriginsFirst pins the commit order of parameter moves:
+// every move reads its origin's pre-replay value, as the interpreted copies
+// did, even when an earlier move overwrites that origin. The copies 2→8,
+// 9→2, 8→10 resolve the last one to origin 2, which the middle one writes.
+func TestMoveReplayReadsOriginsFirst(t *testing.T) {
+	m := newFake(t, 1, fakeOpts{})
+	handler := func() uint64 {
+		for _, mv := range [][2]int{{2, 8}, {9, 2}, {8, 10}} {
+			CopyWord(m.tap, mv[0], m.tap, mv[1])
+			m.file[mv[1]] = m.file[mv[0]]
+		}
+		return 0
+	}
+	m.file[2] = 1
+	m.trap(30, handler) // Record
+	m.file[2], m.file[9] = 3, 60
+	if _, st := m.trap(30, handler); st != Hit {
+		t.Fatalf("move replay did not hit (status %v)", st)
+	}
+	if m.file[8] != 3 || m.file[2] != 60 || m.file[10] != 3 {
+		t.Fatalf("replay left file[8]=%d file[2]=%d file[10]=%d, want 3/60/3 as interpreted",
+			m.file[8], m.file[2], m.file[10])
+	}
+}
