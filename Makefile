@@ -7,7 +7,7 @@
 GO ?= go
 EXAMPLES := quickstart virtecho nestedboot recursive memcached
 
-.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke profile
+.PHONY: all build test race vet fmt-check examples-smoke fuzz-smoke ci bench bench-smoke bench-json bench-diff benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke perfbench-check profile
 
 FUZZ_TARGETS := FuzzDifferentialNVvsNEVE FuzzFaultPlanRecovery FuzzParsePlan
 FUZZTIME ?= 10s
@@ -50,7 +50,7 @@ fuzz-smoke:
 		$(GO) test -run=NONE -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) ./internal/fault/ || exit 1; \
 	done
 
-ci: vet fmt-check race examples-smoke fuzz-smoke bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke
+ci: vet fmt-check race examples-smoke fuzz-smoke bench-smoke bench-json benchdiff-smoke jit-equiv-smoke jit-param-smoke smp-race smp-bench-smoke perfbench-check
 
 # SMP engine gate: the epoch-lockstep tests under the race detector (the
 # parallel mode's happens-before edges are the whole design), plus the
@@ -63,9 +63,15 @@ smp-race:
 # One interrupt-storm sweep cell end to end, under the race detector,
 # with adaptive epoch budgets: nevesim smp exits non-zero if the parallel
 # run's equivalence fingerprint diverges from the sequential one, so this
-# covers the sharded-JIT + sense-reversing-barrier path in one cheap cell.
+# covers the sharded-JIT + parallel-epoch path in one cheap cell.
 smp-bench-smoke:
 	$(GO) run -race ./cmd/nevesim smp -cpus 8 -profile storm
+
+# The benchmark harness is its own module, so ./... above never reaches
+# it: vet and test it as its run script builds it (read-only module
+# graph, its own go.mod).
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=readonly $(GO) vet . && $(GO) test .
 
 # Trace-JIT correctness smoke: every deterministic experiment nevesim
 # runs (tables 1/6/7, figure 2, ablation, recursive, table 8) must print
@@ -93,14 +99,15 @@ jit-param-smoke:
 # Go benchmarks for the simulator's own speed (not the paper's numbers):
 # memory/TLB fast paths, the 16 MiB Stage-2 linear map build (with
 # allocation counts), the trap hot path, a replayed nested hypercall (the
-# JIT hit path) and a recorded and promoted one (the JIT record path), the
+# JIT hit path) and a recorded and promoted one (the JIT record path), one
+# SMP run of 8 yielding vCPUs per epoch-engine mode (ns per epoch), the
 # trace collector, and the end-to-end experiment sweeps: once from a fresh
 # runner (build and boot included) and once per pass on a warm persistent
 # runner, JIT on and off, with allocations per pass.
 bench:
 	$(GO) test -run=NONE -bench 'BenchmarkMemoryReadWrite|BenchmarkTLB|BenchmarkStage2Map' -benchmem ./internal/mem/ ./internal/mmu/
 	$(GO) test -run=NONE -bench 'BenchmarkTrap|BenchmarkMSRFastPath' ./internal/arm/
-	$(GO) test -run=NONE -bench 'BenchmarkJITHit|BenchmarkJITRecord' -benchmem ./internal/kvm/
+	$(GO) test -run=NONE -bench 'BenchmarkJITHit|BenchmarkJITRecord|BenchmarkSMPEpoch' -benchmem ./internal/kvm/
 	$(GO) test -run=NONE -bench 'BenchmarkCollectorTrap' ./internal/trace/
 	$(GO) test -run=NONE -bench 'Benchmark(Fig2|Micro)(Sequential|Parallel)' -benchtime 1x ./internal/bench/
 	$(GO) test -run=NONE -bench 'Benchmark(Fig2|Micro)Warm' -benchmem ./internal/bench/

@@ -594,9 +594,13 @@ type superOp struct {
 	// recorded (program) order, reading live source values, before the
 	// constant fwrites — so every move source still holds its pre-replay
 	// value when read, matching the interpreted sequence, which read each
-	// source before writing it. A surviving move is the only writer of its
+	// origin before writing it. A surviving move is the only writer of its
 	// destination, so a self-move with imm 0 is a no-op and is not kept.
 	moves []moveOp
+	// gather is set when an earlier move writes a later move's origin (a
+	// chained copy resolved past an overwritten word): replay then reads
+	// every source before it writes any destination.
+	gather bool
 	// preds are the replay predicates (LogPred); slack is the recorded
 	// cycle advance of the dispatching core, passed to each predicate.
 	preds  []Pred
@@ -686,6 +690,9 @@ type Engine struct {
 	spwords []*uint64
 	sclocks []ClockDelta
 	sdelta  trace.CounterDelta
+	// mvals is replay's gather scratch, as long as the longest promoted
+	// gather op's move list.
+	mvals []uint64
 
 	// asyncPoison is the cross-goroutine poison flag for per-vCPU shard
 	// engines: a sibling vCPU that mutates state outside every shard's
@@ -830,12 +837,24 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 			op.tlbGen = gen
 		}
 	}
-	// Commit. Parameter moves first, in program order: every move source was
-	// external (unwritten) when the interpreted copy read it, so it must be
-	// read before any constant write to it lands.
-	for i := range op.moves {
-		m := &op.moves[i]
-		*m.dst = *m.src + m.imm
+	// Commit. Parameter moves first: every move source was external
+	// (unwritten) when the interpreted copy read it, so it must be read
+	// before any write to it lands — in program order, or, when an earlier
+	// move writes a later move's origin, all sources before any move.
+	if op.gather {
+		vals := e.mvals[:len(op.moves)]
+		for i := range op.moves {
+			m := &op.moves[i]
+			vals[i] = *m.src + m.imm
+		}
+		for i := range op.moves {
+			*op.moves[i].dst = vals[i]
+		}
+	} else {
+		for i := range op.moves {
+			m := &op.moves[i]
+			*m.dst = *m.src + m.imm
+		}
 	}
 	for i := range op.fwrites {
 		fw := &op.fwrites[i]
@@ -997,6 +1016,7 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 	all := e.sall[:0]
 	pwords := e.spwords[:0]
 	nmoves := 0
+	gather := false
 	for i := range rec.moves {
 		m := &rec.moves[i]
 		if e.prov[m.dstF-1][m.dstIdx] != int32(i+1) || rec.params[m.param].guarded {
@@ -1006,6 +1026,10 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 		mv := moveOp{src: &e.files[p.f-1][p.idx], dst: &e.files[m.dstF-1][m.dstIdx], imm: m.imm}
 		if mv.src != mv.dst || mv.imm != 0 {
 			nmoves++
+		}
+		// The origin's final writer is an earlier move (prov is 1-based).
+		if pv := e.prov[p.f-1][p.idx]; pv > 0 && int(pv) <= i {
+			gather = true
 		}
 		all = append(all, mv)
 		pwords = append(pwords, mv.src)
@@ -1058,6 +1082,9 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 	var moves []moveOp
 	if nmoves > 0 {
 		moves = make([]moveOp, 0, nmoves)
+		if gather && nmoves > len(e.mvals) {
+			e.mvals = make([]uint64, nmoves)
+		}
 		for _, mv := range all {
 			if mv.src != mv.dst || mv.imm != 0 {
 				moves = append(moves, mv)
@@ -1072,6 +1099,7 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 		npinned: int32(npinned),
 		param:   len(all)+len(rec.preds) > 0,
 		moves:   moves,
+		gather:  gather,
 		preds:   slices.Clone(rec.preds),
 		probes:  slices.Clone(rec.probes),
 		clocks:  slices.Clone(clocks),

@@ -87,7 +87,7 @@ func (s *Stack) hyps() []*Hypervisor {
 
 // Checkpoint captures the full stack state. SMP runs are only capturable
 // at quiescent boundaries: between RunSMP/RunSMPOpts calls, never while
-// the epoch engine has vCPU goroutines parked inside guest contexts.
+// the epoch engine has vCPU coroutines parked inside guest contexts.
 func (s *Stack) Checkpoint() *StackCheckpoint {
 	if s.smpRunning {
 		panic("kvm: Checkpoint during an SMP run (not a quiescent boundary)")

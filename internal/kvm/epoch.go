@@ -1,11 +1,18 @@
+//go:build go1.23
+
 package kvm
 
 import (
+	"errors"
 	"fmt"
+	"iter"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/nevesim/neve/internal/arm"
+	"github.com/nevesim/neve/internal/fault"
 	"github.com/nevesim/neve/internal/gic"
 	"github.com/nevesim/neve/internal/mmu"
 	"github.com/nevesim/neve/internal/trace"
@@ -13,31 +20,34 @@ import (
 
 // The deterministic epoch-lockstep SMP engine.
 //
-// Each vCPU runs its trap-and-emulate stream on its own worker; the run
-// is divided into epochs of at most EpochBudget guest cycles. Within an
-// epoch a vCPU touches only per-vCPU state (its CPU model, contexts,
-// VNCR page, private Stage-2 TLB, trace shard, JIT shard), so epochs of
-// different vCPUs may execute genuinely in parallel. Every shared-state
-// effect — SGI/IPI fan-out through the distributor, shared guest RAM,
-// the shared virtio device — is queued (or parked as a thunk) and merged
-// at the epoch barrier in vCPU order on a single thread. Because segment
-// execution is per-vCPU-pure and barriers are totally ordered, a parallel
-// run is byte-identical to a sequential one: same cycle counts, same trap
-// streams, same guest-visible values. That equivalence is the engine's
-// correctness gate (TestSMPParallelMatchesSequential).
+// Each vCPU runs its trap-and-emulate stream as a coroutine (iter.Pull);
+// the run is divided into epochs of at most EpochBudget guest cycles, and
+// a vCPU parks — yields to whoever resumed it — when its segment ends.
+// Within an epoch a vCPU touches only per-vCPU state (its CPU model,
+// contexts, VNCR page, private Stage-2 TLB, trace shard, JIT shard), so
+// epochs of different vCPUs may execute genuinely in parallel. Every
+// shared-state effect — SGI/IPI fan-out through the distributor, shared
+// guest RAM, the shared virtio device — is queued (or parked as a thunk)
+// and merged at the epoch barrier in vCPU order on a single thread.
+// Because segment execution is per-vCPU-pure and barriers are totally
+// ordered, a parallel run is byte-identical to a sequential one: same
+// cycle counts, same trap streams, same guest-visible values. That
+// equivalence is the engine's correctness gate
+// (TestSMPParallelMatchesSequential).
 //
 // The distributor is also where SMP contention is modeled: the k-th
 // distributor transaction merged within one epoch is charged
 // k*CostModel.DistContention cycles on its initiating vCPU, reproducing
 // the serialization that concurrent SGI writes suffer on real hardware.
 //
-// Synchronization (parallel mode) is two sense-reversing barriers with
-// fixed membership (n workers + the coordinator): bStart releases an
-// epoch, bEnd ends it. Compared to the per-epoch channel pairs of the
-// first version, an epoch costs two barrier crossings total instead of
-// 2n channel operations, and retired workers keep pacing the barriers as
-// lame ducks so membership never changes mid-run. Workers come from a
-// process-wide pool and are reused across runs and sweep cells.
+// Scheduling: the coordinator resumes the coroutines itself, in vCPU
+// order, for entry, sequential epochs and exit epilogues — no goroutines,
+// no channels. A parallel epoch starts min(GOMAXPROCS, active vCPUs)
+// goroutines that claim active vCPUs from one atomic counter and resume
+// them; the coordinator waits for all of them, then merges. A guest panic
+// is recovered inside its coroutine as a *fault.SimError located on that
+// vCPU, and the coordinator re-raises the lowest-numbered failure after
+// the segment phase, so both modes report the same one.
 
 // defaultEpochBudget is the guest-cycle length of one epoch when
 // SMPOptions.EpochBudget is zero. Long enough to amortize barrier
@@ -53,8 +63,9 @@ const (
 
 // SMPOptions configures an SMP run.
 type SMPOptions struct {
-	// Parallel runs vCPU epochs on concurrent workers. The result is
-	// byte-identical to a sequential run; only wall-clock time differs.
+	// Parallel runs each epoch's vCPU segments on up to GOMAXPROCS
+	// goroutines. The result is byte-identical to a sequential run; only
+	// wall-clock time differs.
 	// Configurations whose segment execution is not per-vCPU-pure (GICv2
 	// shadow pages, fault hooks, copy-on-write restored memory) fall back
 	// to sequential execution; SMPStats.Parallel reports the actual mode.
@@ -100,86 +111,7 @@ type SMPStats struct {
 	FinalBudget uint64
 }
 
-// senseBarrier is a reusable sense-reversing barrier with fixed
-// membership. Unlike sync.WaitGroup it needs no re-arming between
-// phases: each crossing flips the sense, so the same two barrier values
-// pace every epoch of a run.
-type senseBarrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	parties int
-	waiting int
-	sense   bool
-}
-
-func newSenseBarrier(parties int) *senseBarrier {
-	b := &senseBarrier{parties: parties}
-	b.cond.L = &b.mu
-	return b
-}
-
-// await blocks until all parties have arrived, then releases them
-// together. The barrier's mutex makes every write before an arrival
-// happen-before every read after the release.
-func (b *senseBarrier) await() {
-	b.mu.Lock()
-	sense := b.sense
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.sense = !sense
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for b.sense == sense {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// smpWorker is a pooled goroutine executing one job at a time. The jobs
-// channel is unbuffered, so handing a worker its next job synchronizes
-// with the completion of its previous one — a worker may be released to
-// the pool as soon as its job is logically finished.
-type smpWorker struct {
-	jobs chan func()
-}
-
-var (
-	smpPoolMu   sync.Mutex
-	smpPoolFree []*smpWorker
-)
-
-// acquireSMPWorker takes a worker from the process-wide pool, spawning
-// one if the pool is empty. Workers persist for the process lifetime:
-// across RunSMPOpts calls, sweep cells, and stacks, so steady-state SMP
-// runs spawn no goroutines at all.
-func acquireSMPWorker() *smpWorker {
-	smpPoolMu.Lock()
-	if n := len(smpPoolFree); n > 0 {
-		w := smpPoolFree[n-1]
-		smpPoolFree = smpPoolFree[:n-1]
-		smpPoolMu.Unlock()
-		return w
-	}
-	smpPoolMu.Unlock()
-	w := &smpWorker{jobs: make(chan func())}
-	go func() {
-		for job := range w.jobs {
-			job()
-		}
-	}()
-	return w
-}
-
-func releaseSMPWorker(w *smpWorker) {
-	smpPoolMu.Lock()
-	smpPoolFree = append(smpPoolFree, w)
-	smpPoolMu.Unlock()
-}
-
-// parkKind labels why a vCPU worker parked back to the coordinator.
+// parkKind labels why a vCPU coroutine parked back to the coordinator.
 type parkKind int
 
 const (
@@ -195,10 +127,9 @@ const (
 	// parkFinishing: the program returned; the exit epilogue (cold
 	// context switch out) is pending and must run serialized.
 	parkFinishing
-	// parkDone: the worker has fully retired its program.
-	parkDone
 )
 
+// smpPark is the value a vCPU coroutine yields.
 type smpPark struct {
 	kind parkKind
 	// op is the parked shared-state operation (parkBarrier only),
@@ -207,35 +138,33 @@ type smpPark struct {
 	op func()
 }
 
+// errSMPStopped unwinds a vCPU program whose coroutine is stopped before
+// it finished (a sibling failed); the coroutine's own recover drops it.
+var errSMPStopped = errors.New("kvm: SMP vCPU stopped")
+
 // smpEngine coordinates one RunSMPOpts invocation.
 type smpEngine struct {
 	s        *Stack
 	n        int
 	parallel bool
 	adaptive bool
-	// budget is the current epoch budget. Workers read it between
-	// barriers; the coordinator retunes it (adaptive mode) during the
-	// merge, while every worker is parked — the barrier crossing is the
-	// happens-before edge in both directions.
+	// budget is the current epoch budget. Coroutines read it during their
+	// segments; the coordinator retunes it (adaptive mode) during the
+	// merge, while every vCPU is parked — goroutine start and
+	// WaitGroup.Wait are the happens-before edges in parallel mode.
 	budget uint64
 
-	// resume[i]/parked[i] carry the per-vCPU handshakes that stay
-	// serialized in every mode: entry, exit epilogues, and (sequential
-	// mode) each segment. They are pure signals; the park payload
-	// travels in state[i], written by worker i before it signals.
-	resume []chan struct{}
-	parked []chan struct{}
-	state  []smpPark
-	done   []bool
-
-	// bStart/bEnd pace parallel epochs; membership is fixed at n+1
-	// (workers + coordinator). over releases lame-duck workers after the
-	// final epoch; it is written before the coordinator's last bStart
-	// crossing and read after the workers'.
-	bStart, bEnd *senseBarrier
-	over         bool
-	// barrierWait accumulates the coordinator's wall-clock wait at bEnd:
-	// the synchronization share of the run.
+	// next[i] resumes vCPU i until it parks and returns the park; stop[i]
+	// unwinds an unfinished program. state[i] is vCPU i's last park,
+	// errs[i] the failure its program panicked with.
+	next  []func() (smpPark, bool)
+	stop  []func()
+	state []smpPark
+	done  []bool
+	errs  []*fault.SimError
+	// barrierWait accumulates the coordinator's wall-clock wait for the
+	// parallel segments of every epoch: the synchronization share of the
+	// run.
 	barrierWait time.Duration
 
 	ipis   *gic.EpochQueue
@@ -268,18 +197,13 @@ func (s *Stack) RunSMPOpts(programs []func(g *SMPGuest), opts SMPOptions) SMPSta
 		budget:   budget,
 		parallel: opts.Parallel && s.parallelSafe(n),
 		adaptive: opts.Adaptive,
-		resume:   make([]chan struct{}, n),
-		parked:   make([]chan struct{}, n),
+		next:     make([]func() (smpPark, bool), n),
+		stop:     make([]func(), n),
 		state:    make([]smpPark, n),
 		done:     make([]bool, n),
-		bStart:   newSenseBarrier(n + 1),
-		bEnd:     newSenseBarrier(n + 1),
+		errs:     make([]*fault.SimError, n),
 		ipis:     gic.NewEpochQueue(n),
 		guests:   make([]*SMPGuest, n),
-	}
-	for i := 0; i < n; i++ {
-		e.resume[i] = make(chan struct{})
-		e.parked[i] = make(chan struct{})
 	}
 	e.stats.VCPUs = n
 	e.stats.Parallel = e.parallel
@@ -387,41 +311,18 @@ func (s *Stack) smpSetup(n int) func() {
 	}
 }
 
-// run executes the worker protocol to completion.
+// run drives the vCPU coroutines to completion.
 func (e *smpEngine) run(programs []func(g *SMPGuest)) {
-	workers := make([]*smpWorker, e.n)
-	for i := 0; i < e.n; i++ {
-		i := i
-		e.guests[i] = &SMPGuest{eng: e, id: i}
-		workers[i] = acquireSMPWorker()
-		workers[i].jobs <- func() {
-			<-e.resume[i]
-			e.s.runOn(i, func(g *GuestCtx) {
-				sg := e.guests[i]
-				sg.GuestCtx = g
-				sg.segStart = g.CPU.Cycles()
-				sg.park(smpPark{kind: parkEntered})
-				programs[i](sg)
-				sg.park(smpPark{kind: parkFinishing})
-			})
-			e.state[i] = smpPark{kind: parkDone}
-			e.parked[i] <- struct{}{}
-			if e.parallel {
-				// Lame duck: the sense barriers have fixed membership, so
-				// a retired worker keeps pacing them until the run is over.
-				for {
-					e.bStart.await()
-					if e.over {
-						return
-					}
-					e.bEnd.await()
-				}
-			}
-		}
+	for i, prog := range programs {
+		sg := &SMPGuest{eng: e, id: i}
+		e.guests[i] = sg
+		e.next[i], e.stop[i] = iter.Pull(e.vcpu(sg, prog))
 	}
+	// Unwind whatever a failure left unfinished; a stop of a finished or
+	// never-started coroutine is a no-op.
 	defer func() {
-		for _, w := range workers {
-			releaseSMPWorker(w)
+		for _, stop := range e.stop {
+			stop()
 		}
 	}()
 
@@ -429,14 +330,9 @@ func (e *smpEngine) run(programs []func(g *SMPGuest)) {
 	// allocators (guest page tables, VNCR pages), so each vCPU enters
 	// alone, in vCPU order, before any epoch runs.
 	for i := 0; i < e.n; i++ {
-		e.resume[i] <- struct{}{}
-		<-e.parked[i]
-		if e.state[i].kind != parkEntered {
-			panic("kvm: SMP worker parked before completing entry")
-		}
+		e.resume(i)
 	}
-
-	first := true
+	e.raise()
 	for {
 		act := activeVCPUs(e.done)
 		if len(act) == 0 {
@@ -444,33 +340,73 @@ func (e *smpEngine) run(programs []func(g *SMPGuest)) {
 		}
 		e.stats.Epochs++
 		if e.parallel {
-			if first {
-				// After entry every worker is blocked on its resume
-				// channel; the first epoch is released there. All later
-				// epochs release through bStart.
-				for i := 0; i < e.n; i++ {
-					e.resume[i] <- struct{}{}
-				}
-				first = false
-			} else {
-				e.bStart.await()
-			}
-			t0 := time.Now()
-			e.bEnd.await()
-			e.barrierWait += time.Since(t0)
+			e.runParallel(act)
 		} else {
 			// Sequential epoch: one segment at a time, vCPU order.
 			for _, i := range act {
-				e.resume[i] <- struct{}{}
-				<-e.parked[i]
+				e.resume(i)
 			}
 		}
+		e.raise()
 		e.merge(act)
 	}
-	if e.parallel && !first {
-		// Release the lame ducks into retirement.
-		e.over = true
-		e.bStart.await()
+}
+
+// vcpu returns vCPU sg's coroutine body: enter the context chain, run the
+// program, and park before the exit epilogue. A panic is recovered here,
+// where the failing guest frame is still on the stack, and recorded as
+// the vCPU's failure for the coordinator to re-raise.
+func (e *smpEngine) vcpu(sg *SMPGuest, prog func(g *SMPGuest)) iter.Seq[smpPark] {
+	return func(yield func(smpPark) bool) {
+		sg.yield = yield
+		defer func() {
+			if v := recover(); v != nil && v != errSMPStopped {
+				c := e.s.M.CPUs[sg.id]
+				se := fault.Recover(v)
+				se.CPU, se.Level, se.Cycle = c.ID, int(c.Level()), c.Cycles()
+				se.Recent = c.Trace.Recent()
+				e.errs[sg.id] = se
+			}
+		}()
+		e.s.runOn(sg.id, func(g *GuestCtx) {
+			sg.GuestCtx = g
+			sg.park(smpPark{kind: parkEntered})
+			prog(sg)
+			sg.park(smpPark{kind: parkFinishing})
+		})
+	}
+}
+
+// resume runs vCPU i until it parks (or its coroutine returns).
+func (e *smpEngine) resume(i int) { e.state[i], _ = e.next[i]() }
+
+// runParallel runs one epoch's segments on concurrent goroutines, each
+// claiming the next active vCPU until none is left.
+func (e *smpEngine) runParallel(act []int) {
+	var claim atomic.Int64
+	var wg sync.WaitGroup
+	worker := func() {
+		defer wg.Done()
+		for k := int(claim.Add(1)) - 1; k < len(act); k = int(claim.Add(1)) - 1 {
+			e.resume(act[k])
+		}
+	}
+	w := min(runtime.GOMAXPROCS(0), len(act))
+	wg.Add(w)
+	for range w {
+		go worker()
+	}
+	t0 := time.Now()
+	wg.Wait()
+	e.barrierWait += time.Since(t0)
+}
+
+// raise re-panics with the lowest-numbered vCPU failure, if any.
+func (e *smpEngine) raise() {
+	for _, se := range e.errs {
+		if se != nil {
+			panic(se)
+		}
 	}
 }
 
@@ -486,9 +422,8 @@ func activeVCPUs(done []bool) []int {
 }
 
 // merge applies the epoch's shared-state effects on the coordinator
-// thread, in strict vCPU order. Every parked worker has crossed bEnd (or
-// signaled parked[i] in sequential mode), so the coordinator may operate
-// on any parked vCPU's CPU context race-free.
+// thread, in strict vCPU order. Every active vCPU is parked, so the
+// coordinator may operate on any vCPU's CPU context race-free.
 func (e *smpEngine) merge(act []int) {
 	// 1. Parked shared-state operations (RAM, shared device registers).
 	for _, i := range act {
@@ -525,14 +460,11 @@ func (e *smpEngine) merge(act []int) {
 	// out of the guest one at a time, in vCPU order.
 	for _, i := range act {
 		if e.state[i].kind == parkFinishing {
-			e.resume[i] <- struct{}{}
-			<-e.parked[i]
-			if e.state[i].kind != parkDone {
-				panic("kvm: SMP worker parked inside its exit epilogue")
-			}
+			e.resume(i)
 			e.done[i] = true
 		}
 	}
+	e.raise()
 	// 4. Advance the global virtual clock to the slowest vCPU.
 	for i := 0; i < e.n; i++ {
 		if c := e.s.M.CPUs[i].Cycles(); c > e.stats.VClock {
@@ -558,26 +490,6 @@ func (e *smpEngine) merge(act []int) {
 			}
 		}
 	}
-}
-
-// park blocks the calling worker until the coordinator resumes it. The
-// park payload is written to state before the signal; the channel send
-// (or barrier crossing) publishes it.
-func (e *smpEngine) park(id int, p smpPark) {
-	e.state[id] = p
-	if e.parallel && p.kind != parkEntered {
-		e.bEnd.await()
-		if p.kind == parkFinishing {
-			// The exit epilogue stays channel-serialized even in parallel
-			// mode: the coordinator runs finishing vCPUs one at a time.
-			<-e.resume[id]
-			return
-		}
-		e.bStart.await()
-		return
-	}
-	e.parked[id] <- struct{}{}
-	<-e.resume[id]
 }
 
 // queueIPI records an SGI for merge at the epoch barrier.

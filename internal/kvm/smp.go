@@ -8,8 +8,8 @@ import (
 )
 
 // SMP execution: the benchmark configurations run multi-way SMP guests
-// (paper Section 5). Each vCPU's guest program runs on its own goroutine
-// under the epoch-lockstep engine (epoch.go): per-vCPU segments execute
+// (paper Section 5). Each vCPU's guest program runs as a coroutine under
+// the epoch-lockstep engine (epoch.go): per-vCPU segments execute
 // independently — in parallel when SMPOptions.Parallel is set — and all
 // shared-state effects merge at epoch barriers in vCPU order, so the
 // interleaving is deterministic and mode-independent.
@@ -23,6 +23,9 @@ type SMPGuest struct {
 	*GuestCtx
 	eng *smpEngine
 	id  int
+	// yield parks the vCPU's coroutine; it returns false when the
+	// coroutine is being stopped.
+	yield func(smpPark) bool
 	// segStart is the vCPU's cycle count at the start of the current
 	// epoch segment; the budget check measures against it.
 	segStart uint64
@@ -32,9 +35,11 @@ type SMPGuest struct {
 func (g *SMPGuest) ID() int { return g.id }
 
 // park hands control to the coordinator and, once resumed, opens the next
-// epoch segment.
+// epoch segment. A stopped coroutine unwinds its program instead.
 func (g *SMPGuest) park(p smpPark) {
-	g.eng.park(g.id, p)
+	if !g.yield(p) {
+		panic(errSMPStopped)
+	}
 	g.segStart = g.CPU.Cycles()
 }
 

@@ -56,7 +56,7 @@ type Stack struct {
 	// equivalence gates never compare it.
 	smpBarrierWait time.Duration
 
-	// smpRunning marks an SMP epoch engine mid-run: vCPU goroutines are
+	// smpRunning marks an SMP epoch engine mid-run: vCPU coroutines are
 	// parked inside guest contexts, so the stack is not at a quiescent
 	// boundary and cannot be checkpointed.
 	smpRunning bool

@@ -76,18 +76,21 @@ func (p *armPlatform) RunGuestErr(i int, fn func(g Guest)) error {
 }
 
 func (p *armPlatform) annotate(se *fault.SimError) *fault.SimError {
-	// The failure interrupted whichever core was executing; the busiest
-	// core is the one the workload was driving.
-	c := p.s.M.CPUs[0]
-	for _, other := range p.s.M.CPUs[1:] {
-		if other.Cycles() > c.Cycles() {
-			c = other
+	// The SMP engine locates the failures it recovers on the failing vCPU
+	// (a nonzero cycle). Any other failure interrupted whichever core was
+	// executing; the busiest core is the one the workload was driving.
+	if se.Cycle == 0 {
+		c := p.s.M.CPUs[0]
+		for _, other := range p.s.M.CPUs[1:] {
+			if other.Cycles() > c.Cycles() {
+				c = other
+			}
 		}
+		se.CPU = c.ID
+		se.Level = int(c.Level())
+		se.Cycle = c.Cycles()
+		se.Recent = p.s.M.Trace.Recent()
 	}
-	se.CPU = c.ID
-	se.Level = int(c.Level())
-	se.Cycle = c.Cycles()
-	se.Recent = p.s.M.Trace.Recent()
 	if p.wd != nil {
 		se.Traps = p.wd.Traps()
 		se.Steps = p.wd.Steps()

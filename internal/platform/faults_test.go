@@ -3,8 +3,10 @@ package platform
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/nevesim/neve/internal/arm"
 	"github.com/nevesim/neve/internal/fault"
@@ -231,5 +233,83 @@ func TestVNCRCorruptOnlyFiresOnNEVE(t *testing.T) {
 	}
 	if n := run("neve"); n == 0 {
 		t.Error("neve stack applied no vncr corruptions")
+	}
+}
+
+// TestSMPGuestPanicIsSimError: a guest-triggered panic inside an SMP vCPU
+// program comes back from Protect as a typed *fault.SimError located on
+// the failing vCPU, not as a process crash. Two vCPUs fail in the same
+// epoch; sequential and parallel runs must both report the lower one,
+// with a stack that starts at the guest's faulting call, and leave no
+// goroutine behind.
+func TestSMPGuestPanicIsSimError(t *testing.T) {
+	run := func(parallel bool) *fault.SimError {
+		p := MustBuild(MustLookup("smp8"))
+		s := p.ARM()
+		if parallel {
+			// The failing run's stats are lost with it; show on an
+			// identical platform that this configuration runs parallel.
+			st := MustBuild(MustLookup("smp8")).ARM().RunSMPOpts(
+				[]func(g *kvm.SMPGuest){func(g *kvm.SMPGuest) {}, func(g *kvm.SMPGuest) {}},
+				kvm.SMPOptions{Parallel: true})
+			if !st.Parallel {
+				t.Fatalf("smp8 fell back to sequential: %+v", st)
+			}
+		}
+		progs := make([]func(g *kvm.SMPGuest), 4)
+		for i := range progs {
+			progs[i] = func(g *kvm.SMPGuest) {
+				g.Work(100)
+				g.Yield()
+				switch g.ID() {
+				case 1:
+					g.SendIPI(0, 99)
+				case 2:
+					g.SendIPI(0, 98)
+				}
+				g.Work(100)
+			}
+		}
+		base := runtime.NumGoroutine()
+		err := p.Protect(func() {
+			s.RunSMPOpts(progs, kvm.SMPOptions{Parallel: parallel, EpochBudget: 1})
+		})
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := runtime.NumGoroutine(); got > base {
+			t.Errorf("parallel=%v: %d goroutines after the failed run, %d before", parallel, got, base)
+		}
+		var se *fault.SimError
+		if !errors.As(err, &se) {
+			t.Fatalf("parallel=%v: Protect = %v, want *fault.SimError", parallel, err)
+		}
+		if se.Kind != fault.ErrPanic || se.Msg != "kvm: guest SGI 99 out of range" || se.CPU != 1 {
+			t.Errorf("parallel=%v: got %v, want a panic on cpu1: guest SGI 99 out of range", parallel, se)
+		}
+		if first, _, _ := strings.Cut(se.Stack, "\n"); !strings.Contains(first, "SMPGuest).SendIPI(") {
+			t.Errorf("parallel=%v: stack starts at %q, want the guest's SendIPI\n%s", parallel, first, se.Stack)
+		}
+		return se
+	}
+	seq, par := run(false), run(true)
+	// Stack frames print argument words (pointers), so compare the
+	// stacks' frame names and everything else exactly.
+	frames := func(stack string) []string {
+		var out []string
+		for _, l := range strings.Split(stack, "\n") {
+			if fn, _, ok := strings.Cut(l, "("); ok && !strings.HasPrefix(l, "\t") {
+				out = append(out, fn)
+			}
+		}
+		return out
+	}
+	if !reflect.DeepEqual(frames(seq.Stack), frames(par.Stack)) {
+		t.Errorf("stacks differ:\n%s\nvs\n%s", seq.Stack, par.Stack)
+	}
+	seqRest, parRest := *seq, *par
+	seqRest.Stack, parRest.Stack = "", ""
+	if !reflect.DeepEqual(seqRest, parRest) {
+		t.Errorf("sequential and parallel failures differ:\n%+v\n%+v", seqRest, parRest)
 	}
 }
