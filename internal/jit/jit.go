@@ -590,17 +590,14 @@ type superOp struct {
 	// predicates before the dropped slots were filtered — which keeps the
 	// op out of reach of chain eviction as a superseded variant.
 	param bool
-	// moves are the parameter slots: replay assigns *dst = *src + imm in
-	// recorded (program) order, reading live source values, before the
-	// constant fwrites — so every move source still holds its pre-replay
-	// value when read, matching the interpreted sequence, which read each
-	// origin before writing it. A surviving move is the only writer of its
-	// destination, so a self-move with imm 0 is a no-op and is not kept.
+	// moves are the parameter slots: replay assigns *dst = *src + imm,
+	// reading every source before it writes any destination and before the
+	// constant fwrites — so each source holds its pre-replay value when
+	// read, matching the interpreted sequence, which read each origin
+	// before writing it, even where an earlier move writes a later move's
+	// origin. A surviving move is the only writer of its destination, so a
+	// self-move with imm 0 is a no-op and is not kept.
 	moves []moveOp
-	// gather is set when an earlier move writes a later move's origin (a
-	// chained copy resolved past an overwritten word): replay then reads
-	// every source before it writes any destination.
-	gather bool
 	// preds are the replay predicates (LogPred); slack is the recorded
 	// cycle advance of the dispatching core, passed to each predicate.
 	preds  []Pred
@@ -690,8 +687,8 @@ type Engine struct {
 	spwords []*uint64
 	sclocks []ClockDelta
 	sdelta  trace.CounterDelta
-	// mvals is replay's gather scratch, as long as the longest promoted
-	// gather op's move list.
+	// mvals is replay's move-source scratch, as long as the longest
+	// promoted op's move list.
 	mvals []uint64
 
 	// asyncPoison is the cross-goroutine poison flag for per-vCPU shard
@@ -837,24 +834,17 @@ func (e *Engine) tryReplay(op *superOp) (uint64, bool) {
 			op.tlbGen = gen
 		}
 	}
-	// Commit. Parameter moves first: every move source was external
-	// (unwritten) when the interpreted copy read it, so it must be read
-	// before any write to it lands — in program order, or, when an earlier
-	// move writes a later move's origin, all sources before any move.
-	if op.gather {
-		vals := e.mvals[:len(op.moves)]
-		for i := range op.moves {
-			m := &op.moves[i]
-			vals[i] = *m.src + m.imm
-		}
-		for i := range op.moves {
-			*op.moves[i].dst = vals[i]
-		}
-	} else {
-		for i := range op.moves {
-			m := &op.moves[i]
-			*m.dst = *m.src + m.imm
-		}
+	// Commit. Parameter moves first, in two phases: every move source was
+	// external (unwritten) when the interpreted copy read it, so all are
+	// read before any move writes — an earlier move may write a later
+	// move's origin.
+	vals := e.mvals[:len(op.moves)]
+	for i := range op.moves {
+		m := &op.moves[i]
+		vals[i] = *m.src + m.imm
+	}
+	for i := range op.moves {
+		*op.moves[i].dst = vals[i]
 	}
 	for i := range op.fwrites {
 		fw := &op.fwrites[i]
@@ -1016,7 +1006,6 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 	all := e.sall[:0]
 	pwords := e.spwords[:0]
 	nmoves := 0
-	gather := false
 	for i := range rec.moves {
 		m := &rec.moves[i]
 		if e.prov[m.dstF-1][m.dstIdx] != int32(i+1) || rec.params[m.param].guarded {
@@ -1026,10 +1015,6 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 		mv := moveOp{src: &e.files[p.f-1][p.idx], dst: &e.files[m.dstF-1][m.dstIdx], imm: m.imm}
 		if mv.src != mv.dst || mv.imm != 0 {
 			nmoves++
-		}
-		// The origin's final writer is an earlier move (prov is 1-based).
-		if pv := e.prov[p.f-1][p.idx]; pv > 0 && int(pv) <= i {
-			gather = true
 		}
 		all = append(all, mv)
 		pwords = append(pwords, mv.src)
@@ -1082,7 +1067,7 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 	var moves []moveOp
 	if nmoves > 0 {
 		moves = make([]moveOp, 0, nmoves)
-		if gather && nmoves > len(e.mvals) {
+		if nmoves > len(e.mvals) {
 			e.mvals = make([]uint64, nmoves)
 		}
 		for _, mv := range all {
@@ -1099,7 +1084,6 @@ func (e *Engine) promote(rec *recording, retVal uint64, clocks []ClockDelta, td 
 		npinned: int32(npinned),
 		param:   len(all)+len(rec.preds) > 0,
 		moves:   moves,
-		gather:  gather,
 		preds:   slices.Clone(rec.preds),
 		probes:  slices.Clone(rec.probes),
 		clocks:  slices.Clone(clocks),

@@ -175,7 +175,8 @@ type smpEngine struct {
 // RunSMPOpts runs one program per vCPU of the innermost VM under the
 // epoch-lockstep engine and returns the run's statistics. Programs receive
 // an SMPGuest wrapping their vCPU's guest context; shared-state operations
-// through it are merged deterministically at epoch barriers.
+// through it are merged deterministically at epoch barriers. A failed run
+// re-panics after undoing its setup; only Restore makes the stack usable.
 func (s *Stack) RunSMPOpts(programs []func(g *SMPGuest), opts SMPOptions) SMPStats {
 	n := len(programs)
 	if n == 0 {
@@ -210,9 +211,12 @@ func (s *Stack) RunSMPOpts(programs []func(g *SMPGuest), opts SMPOptions) SMPSta
 
 	s.smpRunning = true
 	teardown := s.smpSetup(n)
+	// Deferred: a failed run, its coroutines stopped, is quiescent too.
+	defer func() {
+		teardown()
+		s.smpRunning = false
+	}()
 	e.run(programs)
-	teardown()
-	s.smpRunning = false
 	s.smpBarrierWait = e.barrierWait
 
 	e.stats.DistOps = e.ipis.Ops()
@@ -333,8 +337,14 @@ func (e *smpEngine) run(programs []func(g *SMPGuest)) {
 		e.resume(i)
 	}
 	e.raise()
+	var act []int // unfinished vCPUs, in vCPU order
 	for {
-		act := activeVCPUs(e.done)
+		act = act[:0]
+		for i, d := range e.done {
+			if !d {
+				act = append(act, i)
+			}
+		}
 		if len(act) == 0 {
 			break
 		}
@@ -408,17 +418,6 @@ func (e *smpEngine) raise() {
 			panic(se)
 		}
 	}
-}
-
-// activeVCPUs returns the indices of unfinished vCPUs, in vCPU order.
-func activeVCPUs(done []bool) []int {
-	var out []int
-	for i, d := range done {
-		if !d {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // merge applies the epoch's shared-state effects on the coordinator

@@ -241,8 +241,33 @@ func TestVNCRCorruptOnlyFiresOnNEVE(t *testing.T) {
 // the failing vCPU, not as a process crash. Two vCPUs fail in the same
 // epoch; sequential and parallel runs must both report the lower one,
 // with a stack that starts at the guest's faulting call, and leave no
-// goroutine behind.
+// goroutine behind. The failed run must also leave the stack at a
+// quiescent boundary: restored to a checkpoint, it runs SMP again exactly
+// as a platform that never failed.
 func TestSMPGuestPanicIsSimError(t *testing.T) {
+	clean := make([]func(g *kvm.SMPGuest), 4)
+	for i := range clean {
+		clean[i] = func(g *kvm.SMPGuest) {
+			g.Work(100)
+			g.Yield()
+			g.SendIPI((g.ID()+1)%len(clean), 1)
+			g.Work(100)
+		}
+	}
+	// rerun restores p to cp and runs the clean programs, returning their
+	// statistics and per-core cycles.
+	rerun := func(p Platform, cp *Checkpoint, parallel bool) (kvm.SMPStats, []uint64, error) {
+		var st kvm.SMPStats
+		err := p.Protect(func() {
+			p.Restore(cp)
+			st = p.ARM().RunSMPOpts(clean, kvm.SMPOptions{Parallel: parallel, EpochBudget: 1})
+		})
+		cycles := make([]uint64, len(clean))
+		for i := range cycles {
+			cycles[i] = p.CPUCycles(i)
+		}
+		return st, cycles, err
+	}
 	run := func(parallel bool) *fault.SimError {
 		p := MustBuild(MustLookup("smp8"))
 		s := p.ARM()
@@ -270,6 +295,7 @@ func TestSMPGuestPanicIsSimError(t *testing.T) {
 				g.Work(100)
 			}
 		}
+		cp := p.Snapshot()
 		base := runtime.NumGoroutine()
 		err := p.Protect(func() {
 			s.RunSMPOpts(progs, kvm.SMPOptions{Parallel: parallel, EpochBudget: 1})
@@ -289,6 +315,19 @@ func TestSMPGuestPanicIsSimError(t *testing.T) {
 		}
 		if first, _, _ := strings.Cut(se.Stack, "\n"); !strings.Contains(first, "SMPGuest).SendIPI(") {
 			t.Errorf("parallel=%v: stack starts at %q, want the guest's SendIPI\n%s", parallel, first, se.Stack)
+		}
+		fresh := MustBuild(MustLookup("smp8"))
+		wantSt, wantCycles, err := rerun(fresh, fresh.Snapshot(), parallel)
+		if err != nil {
+			t.Fatalf("parallel=%v: clean run on a fresh platform: %v", parallel, err)
+		}
+		gotSt, gotCycles, err := rerun(p, cp, parallel)
+		if err != nil {
+			t.Fatalf("parallel=%v: restore and rerun after the failed run: %v", parallel, err)
+		}
+		if gotSt != wantSt || !reflect.DeepEqual(gotCycles, wantCycles) {
+			t.Errorf("parallel=%v: rerun after the failure = %+v %v, want %+v %v",
+				parallel, gotSt, gotCycles, wantSt, wantCycles)
 		}
 		return se
 	}
